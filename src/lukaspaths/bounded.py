@@ -167,30 +167,28 @@ def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntP
     Higher columns reduce by the orientation's shift rule: left-to-right uses
     N_{k+3}^{t+1} = -N_k^t down to columns 4..6, which are N_4 = N_3,
     N_5 = -N_2^{t-1}, N_6 = N_2; right-to-left uses N_k^{t+1} = -z N_{k-3}^t.
+    Applied r times, a rule is one sign (-1)^r and, right-to-left, the power
+    z^r, so every column is a signed shift of a column 1..3.
     """
     if t < 0:
         raise ValueError("bound must be nonnegative")
     if not 1 <= idx <= 3 * (t + 1):
         raise ValueError(f"column index {idx} out of range for bound {t}")
-    if idx <= 3:
-        a, b, c = _N_BASE[idx]
-        if t == 0:
-            return a
-        if t == 1:
-            return b
-        seq = [a, b, c]
-        for _ in range(t - 2):
-            seq.append(-seq[-1] - _Z * seq[-2])
-        return seq[t]
+    r = shift = 0
     if orientation is Orientation.R2L:
-        return -_Z * n_poly(t - 1, idx - 3, orientation)
-    if idx >= 7:
-        return -n_poly(t - 1, idx - 3, orientation)
-    if idx == 4:
-        return n_poly(t, 3, orientation)
-    if idx == 5:
-        return -n_poly(t - 1, 2, orientation)
-    return n_poly(t, 2, orientation)
+        r = shift = (idx - 1) // 3
+        idx, t = idx - 3 * r, t - r
+    elif idx > 3:
+        r = (idx - 4) // 3
+        idx, t = idx - 3 * r, t - r
+        if idx == 5:  # N_5^t = -N_2^{t-1}
+            r, t = r + 1, t - 1
+        idx = 3 if idx == 4 else 2
+    seq = list(_N_BASE[idx])
+    for _ in range(t - 2):
+        seq.append(-seq[-1] - _Z * seq[-2])
+    base = seq[t].shift_up(shift)
+    return -base if r % 2 else base
 
 
 def bounded_gf(

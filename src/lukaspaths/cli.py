@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .asymptotics import FAMILIES, avg_height

@@ -9,7 +9,6 @@ the triple agreement with the dynamic program is asserted by the test suite.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .core import EndKind
 from .series import DEFAULT_ORDER, Series, binom, catalan_gf

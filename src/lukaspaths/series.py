@@ -1,14 +1,17 @@
 """Exact arithmetic kernels: truncated power series over Q, integer
 polynomials, and rational generating functions.
 
-Everything is exact.  Series coefficients are `fractions.Fraction`, polynomial
+Everything is exact.  A series stores Python-int numerators over one positive
+common denominator in lowest terms; every series the library builds has
+denominator 1, so its arithmetic is plain integer arithmetic.  Polynomial
 coefficients are Python ints, and any value that leaves the library as a path
 count is asserted to be a nonnegative integer at the boundary.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 #: Default truncation order for generating-function expansions.  Overridable
@@ -35,21 +38,63 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _trim(c: Sequence[int]) -> Sequence[int]:
+    """`c` without its trailing zeros."""
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return c[:n]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    """Coefficients 0..m-1 of a*b, each one C-level dot product against the
+    shorter operand reversed, so a product with z or 1 + z^2 costs O(m)."""
+    a, b = _trim(a[:m]), _trim(b[:m])
+    if len(a) < len(b):
+        a, b = b, a
+    rb, lb = b[::-1], len(b)
+    out = []
+    for n in range(m):
+        lo = n - lb + 1  # pair a_lo.. with b_(n-lo)..b_0; map stops at the shorter
+        out.append(sum(map(mul, a[lo : n + 1], rb) if lo > 0 else map(mul, a, rb[-lo:])))
+    return out
+
+
+def _quotient(a: Sequence[Rat], b: Sequence[int], m: int) -> list[Rat]:
+    """Coefficients 0..m-1 of the series a/b (both zero past their ends,
+    b[0] != 0) by b[0] q_n = a_n - sum_j b_j q_(n-j).  Each step divides by
+    b[0] exactly in ints, as it always can when b[0] = +-1, and falls back
+    to a Fraction otherwise."""
+    b0, tail = b[0], _trim(b[1:m])
+    out: list[Rat] = []
+    for n in range(m):
+        acc = (a[n] if n < len(a) else 0) - sum(map(mul, tail, reversed(out)))
+        q, r = divmod(acc, b0)
+        out.append(Fraction(acc, b0) if r else q)
+    return out
+
+
 class Series:
     """Truncated formal power series with exact rational coefficients.
 
     A series knows its coefficients for z^0 .. z^(order-1) and nothing beyond;
     binary operations truncate to the shorter operand, so results never claim
     coefficients that were not actually determined.
+
+    Coefficient n is the int nums[n] over den, with den > 0 in lowest terms.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Rat]):
-        cs = tuple(Fraction(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable[Rat], den: int = 1):
+        cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        self.coeffs = cs
+        if den != 1 or not all(type(c) is int for c in cs):
+            fs = [Fraction(c) / den for c in cs]
+            den = lcm(*(f.denominator for f in fs))
+            cs = tuple(f.numerator * (den // f.denominator) for f in fs)
+        self.nums, self.den = cs, den
 
     # -- constructors ------------------------------------------------------
 
@@ -75,49 +120,53 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n < len(self.coeffs):
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        """The coefficients: ints when the denominator is 1, else Fractions."""
+        return self.nums if self.den == 1 else tuple(Fraction(c, self.den) for c in self.nums)
+
+    def __getitem__(self, n: int) -> Rat:
+        if not 0 <= n < len(self.nums):
             raise IndexError(f"coefficient {n} unknown at truncation order {self.order}")
-        return self.coeffs[n]
+        return self.nums[n] if self.den == 1 else Fraction(self.nums[n], self.den)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[:order])
+        return Series(self.nums[:order], self.den)
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient (= order if all zero)."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c != 0:
                 return i
         return self.order
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises if any is not an integer."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise ValueError(f"coefficient {i} = {c} is not an integer")
-            out.append(c.numerator)
-        return out
+        if self.den != 1:  # lowest terms: some numerator is not a multiple
+            i = next(i for i, c in enumerate(self.nums) if c % self.den)
+            raise ValueError(f"coefficient {i} = {self[i]} is not an integer")
+        return list(self.nums)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
-        if isinstance(other, Series):
-            m = min(self.order, other.order)
-            return Series([self.coeffs[i] + other.coeffs[i] for i in range(m)])
-        return Series((self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, Series):
+            other = Series.constant(other, self.order)
+        den = lcm(self.den, other.den)
+        x, y = den // self.den, den // other.den
+        return Series([p * x + q * y for p, q in zip(self.nums, other.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs])
+        return Series([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "Series":
-        return self + (-other if isinstance(other, Series) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Series":
         return (-self) + other
@@ -125,84 +174,56 @@ class Series:
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
             f = Fraction(other)
-            return Series([c * f for c in self.coeffs])
+            return Series([c * f.numerator for c in self.nums], self.den * f.denominator)
         m = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * m
-        for i in range(m):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(m - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return Series(out)
+        return Series(_convolve(self.nums, other.nums, m), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Series":
+        """k-th power by repeated squaring: O(log k) products."""
         if k < 0:
             raise ValueError("negative powers: invert first")
-        result = Series.one(self.order)
-        for _ in range(k):
-            result = result * self
+        result, base = Series.one(self.order), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
-        b = self.coeffs
-        if b[0] == 0:
-            raise ValueError("non-invertible series (zero constant term)")
-        m = self.order
-        inv0 = 1 / b[0]
-        out = [inv0]
-        for n in range(1, m):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if b[j] != 0:
-                    acc += b[j] * out[n - j]
-            out.append(-acc * inv0)
-        return Series(out)
+        return Series.one(self.order) / self
 
     def __truediv__(self, other) -> "Series":
-        if isinstance(other, Series):
-            b = other.coeffs
-            if b[0] == 0:
-                raise ValueError("non-invertible series (zero constant term)")
-            m = min(self.order, other.order)
-            a = self.coeffs
-            inv0 = 1 / b[0]
-            out: list[Fraction] = []
-            for n in range(m):
-                acc = a[n]
-                for j in range(1, n + 1):
-                    if b[j] != 0:
-                        acc -= b[j] * out[n - j]
-                out.append(acc * inv0)
-            return Series(out)
-        return self * (Fraction(1) / Fraction(other))
+        if not isinstance(other, Series):
+            return self * (Fraction(1) / Fraction(other))
+        if other.nums[0] == 0:
+            raise ValueError("non-invertible series (zero constant term)")
+        m = min(self.order, other.order)
+        q = Series(_quotient(self.nums, other.nums, m))
+        return q if self.den == other.den else q * Fraction(other.den, self.den)
 
     def __rtruediv__(self, other) -> "Series":
-        return self.inverse() * other
+        return Series.constant(other, self.order) / self
 
     def sqrt(self) -> "Series":
         """Square root with constant term +1, by Newton iteration.
 
         Each round s -> (s + a/s)/2 doubles the number of correct
-        coefficients, starting from s = 1.
+        coefficients, starting from s = 1.  When the root is integral, as the
+        alternate-path kernel root is, so is every iterate.
         """
-        if self.coeffs[0] != 1:
+        if self.nums[0] != self.den:
             raise ValueError("sqrt requires unit constant term")
-        n = self.order
-        acc: list[Fraction] = [Fraction(1)]
-        m = 1
-        while m < n:
-            m = min(2 * m, n)
-            s = Series(acc + [Fraction(0)] * (m - len(acc)))
+        s = Series.one(1)
+        while s.order < self.order:
+            m = min(2 * s.order, self.order)
+            s = Series(s.nums + (0,) * (m - s.order), s.den)
             s = (s + self.truncate(m) / s) * Fraction(1, 2)
-            acc = list(s.coeffs)
-        return Series(acc)
+        return s
 
     # -- shifts ------------------------------------------------------------
 
@@ -211,7 +232,7 @@ class Series:
         if j == 0:
             return self
         keep = max(self.order - j, 0)
-        return Series([Fraction(0)] * min(j, self.order) + list(self.coeffs[:keep]))
+        return Series((0,) * min(j, self.order) + self.nums[:keep], self.den)
 
     def shift_down(self, j: int) -> "Series":
         """Divide by z^j; requires valuation >= j.  The order shrinks by j."""
@@ -219,19 +240,19 @@ class Series:
             return self
         if self.order <= j:
             raise ValueError("order too small to shift down")
-        if any(c != 0 for c in self.coeffs[:j]):
+        if any(self.nums[:j]):
             raise ValueError("valuation too small to divide by z^j")
-        return Series(self.coeffs[j:])
+        return Series(self.nums[j:], self.den)
 
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return isinstance(other, Series) and (self.nums, self.den) == (other.nums, other.den)
 
     __hash__ = None  # mutable-free but equality is structural; keep unhashable
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
+        head = ", ".join(str(self[i]) for i in range(min(self.order, 8)))
         tail = ", ..." if self.order > 8 else ""
         return f"Series([{head}{tail}] order={self.order})"
 
@@ -364,34 +385,13 @@ class RationalGF:
     def expand(self, order: int) -> Series:
         """Power-series expansion to the given order, by the linear
         recurrence the denominator induces."""
-        num, den = self.num.coeffs, self.den.coeffs
-        d0 = Fraction(den[0])
-        out: list[Fraction] = []
-        for m in range(order):
-            acc = Fraction(num[m]) if m < len(num) else Fraction(0)
-            for j in range(1, min(m, len(den) - 1) + 1):
-                if den[j]:
-                    acc -= den[j] * out[m - j]
-            out.append(acc / d0)
-        return Series(out)
+        return Series(_quotient(self.num.coeffs, self.den.coeffs, order))
 
     def coefficients_int(self, order: int) -> list[int]:
-        """Integer fast path of :meth:`expand` for den(0) = +-1 denominators;
-        falls back to the exact rational route otherwise."""
-        num, den = self.num.coeffs, self.den.coeffs
-        if den[0] not in (1, -1):
-            return self.expand(order).integer_coefficients()
-        d0 = den[0]
-        out: list[int] = []
-        for m in range(order):
-            acc = num[m] if m < len(num) else 0
-            for j in range(1, min(m, len(den) - 1) + 1):
-                if den[j]:
-                    acc -= den[j] * out[m - j]
-            out.append(acc if d0 == 1 else -acc)
-        return out
+        """The expansion's coefficients as ints; raises if one is not."""
+        return Series(_quotient(self.num.coeffs, self.den.coeffs, order)).integer_coefficients()
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> Rat:
         return self.expand(n + 1)[n]
 
     def __eq__(self, other) -> bool:

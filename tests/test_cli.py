@@ -204,3 +204,14 @@ def test_help_documents_exit_codes(capsys):
     for code in ("3", "4", "5", "6", "7"):
         assert code in out
     assert "LUKAS_ORDER" in out
+
+
+def test_count_deep_bound_gf_matches_dp(capsys):
+    # column 3601 of the bound-1200 system: the shift rules are applied 1199
+    # times, far past the default recursion limit
+    argv = ("count", "--n", "5", "--k", "1200", "--bound", "1200")
+    rc, gf, _ = run_cli(capsys, *argv, "--engine", "gf")
+    assert rc == EXIT_OK
+    rc, dp, _ = run_cli(capsys, *argv, "--engine", "dp")
+    assert rc == EXIT_OK
+    assert gf.strip() == dp.strip() == "87993316294"

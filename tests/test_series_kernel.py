@@ -1,0 +1,226 @@
+"""The integer-backed series kernel against a plain-Fraction reference, and
+the generating-function engine against the closed forms and the dynamic
+program well past the n <= 9 grid."""
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lukaspaths.alternate import alt_series
+from lukaspaths.bounded import n_poly
+from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count
+from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
+from lukaspaths.engines import series_for_query
+from lukaspaths.series import IntPoly, Series
+
+# -- plain-Fraction reference: lists of Fractions, schoolbook loops ----------
+
+
+def ref_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def ref_mul(a, b):
+    m = min(len(a), len(b))
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(m)]
+
+
+def ref_div(a, b):
+    m = min(len(a), len(b))
+    out = []
+    for n in range(m):
+        acc = a[n] - sum((b[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
+        out.append(acc / b[0])
+    return out
+
+
+def ref_pow(a, k):
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_sqrt(a):
+    """Coefficient recurrence 2 s_n = a_n - sum_{0<j<n} s_j s_(n-j), s_0 = 1."""
+    out = [Fraction(1)]
+    for n in range(1, len(a)):
+        acc = a[n] - sum((out[j] * out[n - j] for j in range(1, n)), Fraction(0))
+        out.append(acc / 2)
+    return out
+
+
+def as_fractions(s: Series) -> list:
+    return [Fraction(c) for c in s.coeffs]
+
+
+def assert_canonical(s: Series):
+    """Lowest terms, positive denominator, and den = 1 exactly when every
+    coefficient is an integer."""
+    assert s.den > 0
+    assert gcd(s.den, *s.nums) == 1
+    assert all(type(c) is int for c in s.nums)
+    assert (s.den == 1) == all(Fraction(c).denominator == 1 for c in s.coeffs)
+
+
+orders = st.integers(min_value=1, max_value=40)
+small_ints = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def coefficient_lists(draw, integral=False):
+    """A list of 1..40 coefficients: integers, or (about half the time
+    unless `integral`) rationals with small denominators."""
+    m = draw(orders)
+    nums = draw(st.lists(small_ints, min_size=m, max_size=m))
+    dens = [1] * m
+    if not integral and draw(st.booleans()):
+        dens = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 6]), min_size=m, max_size=m))
+    return [Fraction(c, d) for c, d in zip(nums, dens)]
+
+
+@st.composite
+def pairs(draw):
+    """Two coefficient lists of independent orders (operations truncate to
+    the shorter)."""
+    return draw(coefficient_lists()), draw(coefficient_lists())
+
+
+@st.composite
+def divisor_pairs(draw):
+    """A dividend and a divisor whose constant term is +-1 or some other
+    nonzero rational."""
+    a, b = draw(pairs())
+    b[0] = Fraction(draw(st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-4, 3)])))
+    return a, b
+
+
+kernel_settings = settings(max_examples=60, deadline=None)
+
+
+@kernel_settings
+@given(pairs())
+def test_add_sub_match_reference(ab):
+    a, b = ab
+    total, diff = Series(a) + Series(b), Series(a) - Series(b)
+    assert as_fractions(total) == ref_add(a, b)
+    assert as_fractions(diff) == ref_sub(a, b)
+    assert_canonical(total)
+    assert_canonical(diff)
+
+
+@kernel_settings
+@given(pairs())
+def test_mul_matches_reference(ab):
+    a, b = ab
+    prod = Series(a) * Series(b)
+    assert as_fractions(prod) == ref_mul(a, b)
+    assert_canonical(prod)
+
+
+@kernel_settings
+@given(divisor_pairs())
+def test_div_and_inverse_match_reference(ab):
+    a, b = ab
+    quo = Series(a) / Series(b)
+    assert as_fractions(quo) == ref_div(a, b)
+    assert_canonical(quo)
+    inv = Series(b).inverse()
+    assert as_fractions(inv) == ref_div([Fraction(1)] + [Fraction(0)] * (len(b) - 1), b)
+    assert_canonical(inv)
+
+
+@kernel_settings
+@given(coefficient_lists(), st.integers(min_value=0, max_value=7))
+def test_pow_matches_reference(a, k):
+    power = Series(a) ** k
+    assert as_fractions(power) == ref_pow(a, k)
+    assert_canonical(power)
+
+
+@kernel_settings
+@given(coefficient_lists())
+def test_sqrt_matches_reference(a):
+    a[0] = Fraction(1)
+    root = Series(a).sqrt()
+    assert as_fractions(root) == ref_sqrt(a)
+    assert_canonical(root)
+
+
+@kernel_settings
+@given(
+    coefficient_lists(integral=True), coefficient_lists(integral=True), st.sampled_from([1, -1])
+)
+def test_integer_operands_stay_integral(a, b, unit):
+    b[0] = Fraction(unit)
+    x, y = Series([int(c) for c in a]), Series([int(c) for c in b])
+    for result in (x + y, x - y, x * y, x / y, y.inverse(), x**3):
+        assert result.den == 1
+
+
+def test_scalar_division_and_rational_coefficients():
+    half = Series([1, 3, 0]) / 2
+    assert half.coeffs == (Fraction(1, 2), Fraction(3, 2), 0)
+    assert (half * 2).den == 1
+    with pytest.raises(ValueError, match="coefficient 0 = 1/2 is not an integer"):
+        half.integer_coefficients()
+    assert Series([Fraction(2, 4), Fraction(1, 3)]).nums == (3, 2)
+
+
+# -- engine agreement past the n <= 9 grid ----------------------------------
+
+KINDS = list(EndKind)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_unbounded_series_match_closed_forms_to_order_256(k):
+    # the series families charge the empty path to the k = 0 up state, the
+    # counters to Any only; from n = 1 on both conventions agree
+    for kind in KINDS:
+        pre = prefix_series(k, kind, 256).integer_coefficients()
+        suf = suffix_series(k, kind, 256).integer_coefficients()
+        assert pre[1:] == [prefix_count(n, k, kind) for n in range(1, 256)], kind
+        assert suf[1:] == [suffix_count(n, k, kind) for n in range(1, 256)], kind
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_alt_series_match_dp_to_order_160(k):
+    for kind in KINDS:
+        coeffs = alt_series(k, kind, 160).integer_coefficients()
+        for n in (37, 101, 159):
+            query = PathQuery(n, k, kind, Orientation.L2R, alternate=True)
+            assert coeffs[n] == dp_count(query), (kind, n)
+
+
+def test_series_for_query_is_integral_for_every_family():
+    built = 0
+    for orientation in Orientation:
+        for kind in KINDS:
+            for k in (None, 0, 1, 3):
+                if k is None and kind is not EndKind.ANY:
+                    continue
+                for bound in (None, 3, 5):
+                    if k is None and bound is None and orientation is Orientation.L2R:
+                        continue
+                    if k is not None and bound is not None and k > bound:
+                        continue
+                    s = series_for_query(k, kind, orientation, bound, order=48)
+                    assert s.den == 1, (k, kind, orientation, bound)
+                    built += 1
+                if k is not None and orientation is Orientation.L2R:
+                    s = series_for_query(k, kind, orientation, None, True, order=48)
+                    assert s.den == 1, (k, kind, "alternate")
+                    built += 1
+    assert built > 60
+
+
+def test_n_poly_deep_columns_need_no_recursion():
+    # right-to-left: N_3601^1200 = (-z)^1200 N_1^0 = z^1200 (z - 1)
+    assert n_poly(1200, 3601, Orientation.R2L) == IntPoly([-1, 1]).shift_up(1200)
+    # left-to-right: N_3601^1200 = (-1)^1199 N_4^1 = -N_3^1 = -(z - z^2)
+    assert n_poly(1200, 3601, Orientation.L2R) == IntPoly([0, -1, 1])

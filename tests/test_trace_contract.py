@@ -1,0 +1,26 @@
+"""The benchmark's tracer wraps lukaspaths functions by name; a refactor that
+renames or folds away a wrapped function must fail here rather than silently
+break `perfbench/run.py --trace 1`."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MARKER = "perfbench-trace "
+
+
+def test_tracer_runs_a_count_and_reports():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "count", "--n", "3", "--k", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "9"
+    lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0][len(MARKER):])
+    assert set(record) == {"import_s", "stats", "counts"}
+    assert record["stats"]["series.Series.mul"][0] > 0
