@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import count, repeat
+from typing import Iterable, Iterator, Optional
 
-from .bounded import bounded_gf, d_poly, n_poly, total_bounded_gf
+from .bounded import bounded_gf_sweep, d_poly, n_poly
 from .core import EndKind, InfiniteFamilyError, Orientation, PathQuery, dp_count
 from .counts import prefix_count, suffix_count
 from .series import catalan
@@ -52,38 +53,41 @@ def _family_total(n: int, family: str, k: Optional[int]) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _bounded_count(n: int, t: int, family: str, k: Optional[int], route: str) -> int:
-    if family == "prefix-at-k" and t < k:
-        return 0
-    if family == "suffix-at-k" and t < k:
-        return 0
-    if route == "dp":
-        if family == "return-to-zero":
-            q = PathQuery(n, 0, EndKind.ANY, Orientation.L2R, bound=t)
-        elif family == "prefix-at-k":
-            q = PathQuery(n, k, EndKind.ANY, Orientation.L2R, bound=t)
-        elif family == "suffix-at-k":
-            q = PathQuery(n, k, EndKind.ANY, Orientation.R2L, bound=t)
-        else:
-            q = PathQuery(n, None, EndKind.ANY, Orientation.R2L, bound=t)
-        return dp_count(q)
+def _family_model(family: str, k: Optional[int]) -> tuple[Optional[int], Orientation]:
+    """End height (None: any) and orientation of a family's bounded counts."""
     if family == "return-to-zero":
-        gf = bounded_gf(t, 0, EndKind.ANY, Orientation.L2R)
-    elif family == "prefix-at-k":
-        gf = bounded_gf(t, k, EndKind.ANY, Orientation.L2R)
-    elif family == "suffix-at-k":
-        gf = bounded_gf(t, k, EndKind.ANY, Orientation.R2L)
-    else:
-        gf = total_bounded_gf(t, Orientation.R2L)
-    return gf.coefficients_int(n + 1)[n]
+        return 0, Orientation.L2R
+    if family == "prefix-at-k":
+        return k, Orientation.L2R
+    if family == "suffix-at-k":
+        return k, Orientation.R2L
+    return None, Orientation.R2L
+
+
+def _dp_bounded_count(n: int, t: int, family: str, k: Optional[int]) -> int:
+    if k is not None and t < k:
+        return 0
+    end, orientation = _family_model(family, k)
+    return dp_count(PathQuery(n, end, EndKind.ANY, orientation, bound=t))
+
+
+def _gf_bounded_counts(n: int, family: str, k: Optional[int]) -> Iterator[int]:
+    """c_t(n) for t = 0, 1, ...: zero below the end height, then the n-th
+    coefficient of each bound's generating function, swept up in t."""
+    end, orientation = _family_model(family, k)
+    yield from repeat(0, k or 0)
+    for gf in bounded_gf_sweep(end, EndKind.ANY, orientation):
+        yield gf.coefficients_int(n + 1)[n]
 
 
 def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") -> HeightStats:
     """Exact mean of the max-height statistic over the family at length n.
 
     `route` selects how the bounded counts c_t(n) are produced: "gf" expands
-    the exact rational generating functions, "dp" runs the bounded dynamic
-    program.  Both are exact; they cross-check each other in the tests.
+    the exact rational generating functions, stepping their numerators and
+    denominators up in t, "dp" runs the bounded dynamic program once per t.
+    Both are exact; they cross-check each other in the tests.  `k` is the
+    end height of the *-at-k families and is rejected for the others.
     """
     if n < 1:
         raise ValueError("length must be positive")
@@ -98,16 +102,19 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
             raise ValueError(f"family {family!r} needs an end height k")
         if k > n:
             raise ValueError("end height exceeds the length")
-    else:
-        k = None
+    elif k is not None:
+        raise ValueError(f"family {family!r} has no end height k")
     if route not in ("gf", "dp"):
         raise ValueError("route must be 'gf' or 'dp'")
 
     total = _family_total(n, family, k)
     t_stop = n + (k or 0) + 1
+    if route == "gf":
+        counts = _gf_bounded_counts(n, family, k)
+    else:
+        counts = (_dp_bounded_count(n, t, family, k) for t in count())
     excess = 0  # sum over t of (total - c_t)
-    for t in range(t_stop + 1):
-        c_t = _bounded_count(n, t, family, k, route)
+    for _, c_t in zip(range(t_stop + 1), counts):
         if c_t == total:
             break
         excess += total - c_t

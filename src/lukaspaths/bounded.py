@@ -6,11 +6,13 @@ order) with right-hand side (-1, 0, ..., 0)^T.  Determinants D_t of the
 coefficient matrix satisfy D_{t+2} = -D_{t+1} - z D_t and equal, up to sign,
 the Fibonacci polynomials; Cramer numerators N_k^t satisfy the same length
 recurrence plus orientation-specific shift rules, which is how `n_poly`
-computes them (the exact determinant route stays available as a cross-check).
+computes them (the exact determinant route stays available as a cross-check)
+and how `bounded_gf_sweep` steps one family's generating function up in t.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .core import EndKind, Orientation, PathQuery, dp_count
 from .series import IntPoly, RationalGF, binom
@@ -20,6 +22,7 @@ _ONE = IntPoly([1])
 _NEG1 = IntPoly([-1])
 _Z = IntPoly([0, 1])
 _ZM1 = IntPoly([-1, 1])  # z - 1
+_D_ANCHOR = (_NEG1, _ONE)  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
 
 
 @dataclass(frozen=True)
@@ -121,17 +124,28 @@ def cramer_n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) 
     return _bareiss(m)
 
 
-def d_poly(t: int) -> IntPoly:
-    """D_t by the linear recurrence D_{t+2} = -D_{t+1} - z D_t, anchored at
-    D_0 = z - 1 and D_1 = 1 - 2z."""
-    if t < 0:
-        raise ValueError("bound must be nonnegative")
-    a, b = _ZM1, IntPoly([1, -2])
+def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """(x_t, x_{t+1}) -> (x_{t+1}, x_{t+2}) under the length recurrence
+    x_{t+2} = -x_{t+1} - z x_t, which D_t and every Cramer numerator column
+    obey."""
+    return b, -b - _Z * a
+
+
+def _nth(a: IntPoly, b: IntPoly, t: int) -> IntPoly:
+    """x_t of the length recurrence from x_0 = a and x_1 = b."""
     if t == 0:
         return a
     for _ in range(t - 1):
-        a, b = b, -b - _Z * a
+        a, b = _step(a, b)
     return b
+
+
+def d_poly(t: int) -> IntPoly:
+    """D_t by the linear recurrence D_{t+2} = -D_{t+1} - z D_t, anchored at
+    D_{-2} = -1 and D_{-1} = 1 (so D_0 = z - 1 and D_1 = 1 - 2z)."""
+    if t < 0:
+        raise ValueError("bound must be nonnegative")
+    return _nth(*_D_ANCHOR, t + 2)
 
 
 def fibonacci_poly(t: int) -> IntPoly:
@@ -151,12 +165,12 @@ def fibonacci_poly(t: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-# initial N_k^t values for k in {1, 2, 3}, t in {0, 1, 2}, shared by both
+# initial N_k^t values for k in {1, 2, 3}, t in {0, 1}, shared by both
 # orientations; everything else follows from the recurrences
 _N_BASE = {
-    1: (IntPoly([-1, 1]), IntPoly([1, -2]), IntPoly([-1, 3, -1])),
-    2: (IntPoly([]), IntPoly([0, 0, 1]), IntPoly([0, 0, -1])),
-    3: (IntPoly([0, -1]), IntPoly([0, 1, -1]), IntPoly([0, -1, 2])),
+    1: (IntPoly([-1, 1]), IntPoly([1, -2])),
+    2: (IntPoly([]), IntPoly([0, 0, 1])),
+    3: (IntPoly([0, -1]), IntPoly([0, 1, -1])),
 }
 
 
@@ -184,11 +198,18 @@ def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntP
         if idx == 5:  # N_5^t = -N_2^{t-1}
             r, t = r + 1, t - 1
         idx = 3 if idx == 4 else 2
-    seq = list(_N_BASE[idx])
-    for _ in range(t - 2):
-        seq.append(-seq[-1] - _Z * seq[-2])
-    base = seq[t].shift_up(shift)
+    base = _nth(*_N_BASE[idx], t).shift_up(shift)
     return -base if r % 2 else base
+
+
+_OFFSETS = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
+
+
+def _numerator(t: int, k: int, kind: EndKind, orientation: Orientation) -> IntPoly:
+    num = IntPoly()
+    for off in _OFFSETS[kind]:
+        num = num + n_poly(t, 3 * k + off, orientation)
+    return num
 
 
 def bounded_gf(
@@ -207,26 +228,47 @@ def bounded_gf(
         raise ValueError("end height must be nonnegative")
     if k > t:
         raise ValueError(f"height above bound: k={k} > t={t}")
-    den = d_poly(t)
-    offsets = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
-    num = IntPoly()
-    for off in offsets[kind]:
-        num = num + n_poly(t, 3 * k + off, orientation)
-    return RationalGF(num, den)
+    return RationalGF(_numerator(t, k, kind, orientation), d_poly(t))
 
 
 def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> RationalGF:
     """Generating function of bounded paths of any end height and kind:
-    1/F_t left-to-right; D_{t-2}/D_t right-to-left (geometric for t < 2)."""
+    1/F_t left-to-right; D_{t-2}/D_t right-to-left."""
     if t < 0:
         raise ValueError("bound must be nonnegative")
     if orientation is Orientation.L2R:
         return RationalGF(IntPoly([(-1) ** (t + 1)]), d_poly(t))
-    if t == 0:
-        return RationalGF(_ONE, IntPoly([1, -1]))
-    if t == 1:
-        return RationalGF(_ONE, IntPoly([1, -2]))
-    return RationalGF(d_poly(t - 2), d_poly(t))
+    return RationalGF(_nth(*_D_ANCHOR, t), d_poly(t))
+
+
+def bounded_gf_sweep(
+    k: Optional[int],
+    kind: EndKind = EndKind.ANY,
+    orientation: Orientation = Orientation.L2R,
+) -> Iterator[RationalGF]:
+    """`bounded_gf(t, k, kind, orientation)` for t = k, k+1, ... in turn;
+    with k None, `total_bounded_gf(t, R2L)` for t = 0, 1, ...
+
+    Each numerator column is a signed z-shift of a base column at t - r with
+    r fixed by the column, and the right-to-left total's numerator is
+    D_{t-2}, so numerator and D_t follow the same length recurrence: after
+    the first two bounds every bound costs two recurrence steps, and only
+    the last two (N, D_t) pairs are kept.  The raw pairs are stepped, since
+    `RationalGF` flips signs to make den(0) > 0 and D_t(0) = (-1)^(t+1).
+    """
+    if k is None:
+        if orientation is not Orientation.R2L or kind is not EndKind.ANY:
+            raise ValueError("only the right-to-left total of any kind is swept")
+        t0, num = 0, _D_ANCHOR
+    elif k < 0:
+        raise ValueError("end height must be nonnegative")
+    else:
+        t0 = k
+        num = (_numerator(k, k, kind, orientation), _numerator(k + 1, k, kind, orientation))
+    den = (d_poly(t0), d_poly(t0 + 1))
+    while True:
+        yield RationalGF(num[0], den[0])
+        num, den = _step(*num), _step(*den)
 
 
 def height_distribution(n: int) -> list[int]:

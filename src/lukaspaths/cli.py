@@ -70,6 +70,16 @@ def _default_order() -> int:
     return value
 
 
+def _nonnegative_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_query_flags(p: argparse.ArgumentParser, with_total: bool = True) -> None:
     p.add_argument("--k", type=int, default=None, help="end height")
     if with_total:
@@ -330,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_height.add_argument("--k", type=int, default=None, help="end height for *-at-k families")
     p_height.add_argument("--n-list", required=True, help="comma-separated lengths")
     p_height.add_argument("--route", choices=["gf", "dp"], default="gf")
-    p_height.add_argument("--precision", type=int, default=6)
+    p_height.add_argument(
+        "--precision", type=_nonnegative_int, default=6,
+        help="decimal places of sqrt_pi_n and ratio (default 6)",
+    )
     p_height.add_argument("--format", choices=["json", "text"], default="text")
     p_height.set_defaults(func=cmd_height)
 

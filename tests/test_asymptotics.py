@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lukaspaths.asymptotics import (
     FAMILIES,
@@ -39,6 +40,22 @@ def test_avg_height_routes_agree():
             assert gf.mean_height == dp.mean_height, (family, n)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["return-to-zero", "suffix-any", "prefix-at-k", "suffix-at-k"]),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=5),
+)
+def test_avg_height_routes_agree_wide(family, n, k):
+    if not family.endswith("-at-k"):
+        k = None
+    elif k > n:
+        k = n
+    gf = avg_height(n, family, k=k, route="gf")
+    dp = avg_height(n, family, k=k, route="dp")
+    assert gf.mean_height == dp.mean_height
+
+
 def test_avg_height_infinite_family():
     with pytest.raises(InfiniteFamilyError):
         avg_height(8, "prefix-any")
@@ -51,6 +68,13 @@ def test_avg_height_argument_checks():
         avg_height(5, "no-such-family")
     with pytest.raises(ValueError):
         avg_height(0, "return-to-zero")
+
+
+def test_avg_height_rejects_k_without_end_height():
+    for family in ("return-to-zero", "suffix-any"):
+        for route in ("gf", "dp"):
+            with pytest.raises(ValueError, match="has no end height"):
+                avg_height(5, family, k=2, route=route)
 
 
 def test_mean_is_nondecreasing_in_length():

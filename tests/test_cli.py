@@ -188,6 +188,25 @@ def test_height_infinite_family(capsys):
     assert rc == EXIT_INFINITE and "infinite family" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_height_rejects_k_without_end_height(capsys, fmt):
+    for family in ("return-to-zero", "suffix-any"):
+        rc, out, err = run_cli(capsys, "height", "--family", family, "--k", "2",
+                               "--n-list", "4", "--format", fmt)
+        assert rc == EXIT_DOMAIN and out == ""
+        assert "has no end height" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_height_rejects_negative_precision(capsys, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--family", "return-to-zero", "--n-list", "4",
+              "--precision", "-1", "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--precision" in captured.err
+
+
 def test_selftest_quick(capsys):
     started = time.perf_counter()
     rc, out, _ = run_cli(capsys, "selftest", "--quick")
