@@ -4,114 +4,52 @@ Four mutually checking engines: a brute-force enumeration oracle, a dynamic
 program over (height, last-step class), closed-form binomials, and exact
 generating-function expansions, plus height-bounded transfer-matrix counting,
 alternate-path (kernel method) counting, and average-height asymptotics.
-"""
-from .core import (
-    EndKind,
-    InfiniteFamilyError,
-    OracleCapError,
-    Orientation,
-    Path,
-    PathQuery,
-    Step,
-    dp_count,
-    enumerate_count,
-    enumerate_profile,
-    is_alternate,
-    max_height,
-    validate,
-)
-from .series import (
-    DEFAULT_ORDER,
-    IntPoly,
-    RationalGF,
-    Series,
-    binom,
-    catalan,
-    catalan_gf,
-    expand_rational,
-    lukas_power_coeff,
-    lukas_power_coeff_ballot,
-)
-from .counts import prefix_count, prefix_series, suffix_count, suffix_series
-from .bounded import (
-    SystemMatrix,
-    bounded_gf,
-    bounded_gf_sweep,
-    build_system_matrix,
-    d_poly,
-    det_poly,
-    fibonacci_poly,
-    height_distribution,
-    n_poly,
-    total_bounded_gf,
-)
-from .alternate import (
-    SexticRoot,
-    alt_asymptotic,
-    alt_dp_count,
-    alt_series,
-    dominant_root,
-    s1_series,
-    s2_series,
-)
-from .asymptotics import (
-    FAMILIES,
-    HeightStats,
-    avg_height,
-    sqrt_pi_ratio_profile,
-    substitution_check,
-)
 
-__all__ = [
-    "EndKind",
-    "InfiniteFamilyError",
-    "OracleCapError",
-    "Orientation",
-    "Path",
-    "PathQuery",
-    "Step",
-    "dp_count",
-    "enumerate_count",
-    "enumerate_profile",
-    "is_alternate",
-    "max_height",
-    "validate",
-    "DEFAULT_ORDER",
-    "IntPoly",
-    "RationalGF",
-    "Series",
-    "binom",
-    "catalan",
-    "catalan_gf",
-    "expand_rational",
-    "lukas_power_coeff",
-    "lukas_power_coeff_ballot",
-    "prefix_count",
-    "prefix_series",
-    "suffix_count",
-    "suffix_series",
-    "SystemMatrix",
-    "bounded_gf",
-    "bounded_gf_sweep",
-    "build_system_matrix",
-    "d_poly",
-    "det_poly",
-    "fibonacci_poly",
-    "height_distribution",
-    "n_poly",
-    "total_bounded_gf",
-    "SexticRoot",
-    "alt_asymptotic",
-    "alt_dp_count",
-    "alt_series",
-    "dominant_root",
-    "s1_series",
-    "s2_series",
-    "FAMILIES",
-    "HeightStats",
-    "avg_height",
-    "sqrt_pi_ratio_profile",
-    "substitution_check",
-]
+The names below are loaded on first use, so importing the package (or one
+of its submodules) does not import the others.
+"""
+import importlib
+
+#: Public names by defining submodule.
+_EXPORTS = {
+    "core": (
+        "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "Path",
+        "PathQuery", "Step", "dp_count", "enumerate_count", "enumerate_profile",
+        "is_alternate", "max_height", "validate",
+    ),
+    "series": (
+        "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
+        "catalan_gf", "expand_rational", "lukas_power_coeff", "lukas_power_coeff_ballot",
+    ),
+    "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
+    "bounded": (
+        "SystemMatrix", "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly",
+        "det_poly", "fibonacci_poly", "height_distribution", "n_poly", "total_bounded_gf",
+    ),
+    "alternate": (
+        "SexticRoot", "alt_asymptotic", "alt_dp_count", "alt_series", "dominant_root",
+        "s1_series", "s2_series",
+    ),
+    "asymptotics": (
+        "FAMILIES", "HeightStats", "avg_height", "sqrt_pi_ratio_profile", "substitution_check",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines `name` and cache the name here."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

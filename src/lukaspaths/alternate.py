@@ -12,9 +12,9 @@ here by exact-rational bisection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
+from typing import NamedTuple
 
 from .core import EndKind, Orientation, PathQuery, dp_count
 from .series import DEFAULT_ORDER, Series
@@ -98,8 +98,7 @@ def alt_dp_count(n: int, k: int, kind: EndKind = EndKind.ANY) -> int:
     return dp_count(PathQuery(n, k, kind, Orientation.L2R, alternate=True))
 
 
-@dataclass(frozen=True)
-class SexticRoot:
+class SexticRoot(NamedTuple):
     """The dominant singularity: smallest positive root of
     4z^6 - 4z^4 - 4z^3 - 4z^2 + 1, held as an exact rational enclosure
     midpoint with its residual."""

@@ -9,27 +9,17 @@ exact rationals; only the ratio against sqrt(pi n) is floated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .bounded import bounded_gf_sweep, d_poly, n_poly
-from .core import EndKind, InfiniteFamilyError, Orientation, PathQuery, dp_count
+from .core import FAMILIES, EndKind, InfiniteFamilyError, Orientation, PathQuery, dp_count
 from .counts import prefix_count, suffix_count
 from .series import catalan
 
-FAMILIES = (
-    "return-to-zero",
-    "prefix-at-k",
-    "suffix-at-k",
-    "suffix-any",
-    "prefix-any",
-)
 
-
-@dataclass(frozen=True)
-class HeightStats:
+class HeightStats(NamedTuple):
     """Exact mean height of one family at one length, with its sqrt(pi n)
     comparison."""
 

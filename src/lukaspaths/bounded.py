@@ -11,8 +11,7 @@ and how `bounded_gf_sweep` steps one family's generating function up in t.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import EndKind, Orientation, PathQuery, dp_count
 from .series import IntPoly, RationalGF, binom
@@ -25,8 +24,7 @@ _ZM1 = IntPoly([-1, 1])  # z - 1
 _D_ANCHOR = (_NEG1, _ONE)  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
 
 
-@dataclass(frozen=True)
-class SystemMatrix:
+class SystemMatrix(NamedTuple):
     """Coefficient matrix of the truncated counting system."""
 
     t: int

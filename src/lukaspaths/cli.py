@@ -7,35 +7,24 @@ flags.  Every error path has its own exit code (see EXIT_* and --help).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from .asymptotics import FAMILIES, avg_height
 from .core import (
     DEFAULT_ORACLE_CAP,
+    FAMILIES,
+    BFileError,
     EndKind,
+    EngineDomainError,
     InfiniteFamilyError,
     OracleCapError,
     Orientation,
     PathQuery,
 )
-from .engines import (
-    BFileError,
-    EngineDomainError,
-    applicable_engines,
-    compare_bfile,
-    count_by_engine,
-    cross_engine_grid,
-    read_bfile,
-    run_fixture_checks,
-    series_for_query,
-)
-from .series import DEFAULT_ORDER
 
 EXIT_OK = 0
-EXIT_USAGE = 2          # argparse errors
+EXIT_USAGE = 2          # argparse errors, invalid LUKAS_ORDER
 EXIT_INFINITE = 3       # infinite-family queries
 EXIT_ORACLE_CAP = 4     # oracle asked beyond its cap
 EXIT_DISAGREE = 5       # engine disagreement, selftest or check failure
@@ -45,7 +34,7 @@ EXIT_DOMAIN = 7         # query outside an engine's or family's domain
 _EPILOG = """\
 exit codes:
   0  success
-  2  usage error
+  2  usage error, or an invalid LUKAS_ORDER
   3  infinite family (unbounded left-to-right query with no end height)
   4  oracle cap exceeded
   5  engine disagreement / failed selftest or check
@@ -53,20 +42,24 @@ exit codes:
   7  query outside the requested engine's or family's domain
 
 environment:
-  LUKAS_ORDER  default truncation order for series output (default 64)
+  LUKAS_ORDER  default truncation order for series output (default 64);
+               a value that is not a positive integer exits 2
 """
 
 
 def _default_order() -> int:
     raw = os.environ.get("LUKAS_ORDER")
     if raw is None:
+        from .series import DEFAULT_ORDER
+
         return DEFAULT_ORDER
     try:
         value = int(raw)
+        if value < 1:
+            raise ValueError
     except ValueError:
-        raise SystemExit(f"error: LUKAS_ORDER must be an integer, got {raw!r}")
-    if value < 1:
-        raise SystemExit("error: LUKAS_ORDER must be positive")
+        print(f"error: LUKAS_ORDER must be a positive integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return value
 
 
@@ -135,6 +128,8 @@ def _query_echo(fields: dict, n: Optional[int] = None, total: Optional[bool] = N
 
 def _emit_record(query: dict, engine: str, values: list[int], meta: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         record = {
             "query": query,
             "engine": engine,
@@ -156,6 +151,8 @@ def _emit_record(query: dict, engine: str, values: list[int], meta: dict, fmt: s
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .engines import applicable_engines, count_by_engine
+
     fields = _query_fields(args)
     query = PathQuery(n=args.n, **fields)
     if query.is_infinite():
@@ -190,6 +187,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _series_values(args: argparse.Namespace, order: int) -> list[int]:
+    from .engines import series_for_query
+
     fields = _query_fields(args)
     if fields["k"] is None and not getattr(args, "total", False):
         raise EngineDomainError("series needs --k or --total")
@@ -218,6 +217,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .engines import compare_bfile, read_bfile
+
     order = args.order if args.order is not None else _default_order()
     bfile = read_bfile(args.bfile)
     values = _series_values(args, order)
@@ -234,14 +235,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_height(args: argparse.Namespace) -> int:
+    from .asymptotics import avg_height
+
     try:
         n_list = [int(part) for part in args.n_list.split(",") if part]
     except ValueError:
         raise EngineDomainError(f"bad --n-list {args.n_list!r}")
+    if not n_list:
+        raise EngineDomainError(f"--n-list names no length: {args.n_list!r}")
     stats = [
         avg_height(n, args.family, k=args.k, route=args.route) for n in n_list
     ]
     if args.format == "json":
+        import json
+
         record = {
             "family": args.family,
             "k": args.k,
@@ -274,6 +281,8 @@ def cmd_height(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .engines import cross_engine_grid, run_fixture_checks
+
     n_max = 6 if args.quick else 9
     print(f"cross-engine grid (n <= {n_max}) ...")
     failure = cross_engine_grid(n_max=n_max)

@@ -11,7 +11,6 @@ All counts are exact Python ints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -32,6 +31,15 @@ class EndKind(Enum):
 
 STEP_KINDS = (EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 
+#: The path families whose exact mean height `asymptotics.avg_height` gives.
+FAMILIES = (
+    "return-to-zero",
+    "prefix-at-k",
+    "suffix-at-k",
+    "suffix-any",
+    "prefix-any",
+)
+
 
 class InfiniteFamilyError(ValueError):
     """Raised for queries whose answer is not a finite number (left-to-right
@@ -42,11 +50,53 @@ class OracleCapError(ValueError):
     """Raised when the brute-force oracle is asked for a length above its cap."""
 
 
-@dataclass(frozen=True)
-class Step:
+class EngineDomainError(ValueError):
+    """The requested engine, or every engine, does not define this query."""
+
+
+class BFileError(ValueError):
+    """Unreadable or malformed b-file."""
+
+
+class _Value:
+    """Immutable value over the fields named in ``__slots__``, compared,
+    hashed and printed field by field."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Step(_Value):
     """A single lattice step (1, rise)."""
 
-    rise: int
+    __slots__ = ("rise",)
+
+    def __init__(self, rise: int) -> None:
+        super().__init__(rise)
 
     @property
     def kind(self) -> EndKind:
@@ -73,16 +123,13 @@ class Step:
         return Step(-j)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Value):
     """A finite step sequence with its reading orientation."""
 
-    steps: tuple[Step, ...]
-    orientation: Orientation = Orientation.L2R
+    __slots__ = ("steps", "orientation")
 
     def __init__(self, steps: Iterable[Step], orientation: Orientation = Orientation.L2R):
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "orientation", orientation)
+        super().__init__(tuple(steps), orientation)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -136,30 +183,36 @@ def is_alternate(path: Path) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PathQuery:
+class PathQuery(_Value):
     """The universal counting request.
 
     ``k is None`` means "any end height"; that is only a finite family for
-    right-to-left paths or height-bounded left-to-right paths.
+    right-to-left paths or height-bounded left-to-right paths, and only for
+    kind Any.
     """
 
-    n: int
-    k: Optional[int] = None
-    kind: EndKind = EndKind.ANY
-    orientation: Orientation = Orientation.L2R
-    bound: Optional[int] = None
-    alternate: bool = False
+    __slots__ = ("n", "k", "kind", "orientation", "bound", "alternate")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(
+        self,
+        n: int,
+        k: Optional[int] = None,
+        kind: EndKind = EndKind.ANY,
+        orientation: Orientation = Orientation.L2R,
+        bound: Optional[int] = None,
+        alternate: bool = False,
+    ) -> None:
+        if n < 0:
             raise ValueError("length must be nonnegative")
-        if self.k is not None and self.k < 0:
+        if k is not None and k < 0:
             raise ValueError("end height must be nonnegative")
-        if self.bound is not None and self.bound < 0:
+        if bound is not None and bound < 0:
             raise ValueError("bound must be nonnegative")
-        if self.k is not None and self.bound is not None and self.k > self.bound:
+        if k is not None and bound is not None and k > bound:
             raise ValueError("end height exceeds the height bound")
+        if k is None and kind is not EndKind.ANY:
+            raise EngineDomainError("totals over end heights are defined for kind=any only")
+        super().__init__(n, k, kind, orientation, bound, alternate)
 
     def is_infinite(self) -> bool:
         return (

@@ -10,16 +10,14 @@ height-bounded alternate paths).
 """
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .alternate import alt_series
-from .bounded import bounded_gf, total_bounded_gf
 from .core import (
     DEFAULT_ORACLE_CAP,
+    BFileError,
     EndKind,
+    EngineDomainError,
     InfiniteFamilyError,
     Orientation,
     PathQuery,
@@ -31,14 +29,6 @@ from .counts import prefix_count, prefix_series, suffix_count, suffix_series
 from .series import Series, catalan, catalan_gf
 
 ENGINES = ("oracle", "dp", "closed", "gf")
-
-
-class EngineDomainError(ValueError):
-    """The requested engine does not define this query."""
-
-
-class BFileError(ValueError):
-    """Unreadable or malformed b-file."""
 
 
 def series_for_query(
@@ -64,12 +54,18 @@ def series_for_query(
                 "alternate paths have series only for unbounded l2r queries "
                 "with a fixed end height; use the dp engine otherwise"
             )
+        from .alternate import alt_series
+
         return alt_series(k, kind, order)
     if k is None:
         if bound is not None:
+            from .bounded import total_bounded_gf
+
             return total_bounded_gf(bound, orientation).expand(order)
         return (catalan_gf(order + 1) - 1).shift_down(1)
     if bound is not None:
+        from .bounded import bounded_gf
+
         return bounded_gf(bound, k, kind, orientation).expand(order)
     if orientation is Orientation.L2R:
         return prefix_series(k, kind, order)
@@ -228,8 +224,7 @@ def cross_engine_grid(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     """Parsed b-file: OEIS-style 'index value' lines."""
 
     entries: tuple[tuple[int, int], ...]
@@ -265,6 +260,8 @@ def read_bfile(path: str | Path) -> BFile:
 
 def bundled_bfile(name: str) -> Path:
     """Path of a fixture shipped with the package."""
+    import importlib.resources
+
     resource = importlib.resources.files("lukaspaths").joinpath("data", name)
     return Path(str(resource))
 

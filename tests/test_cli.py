@@ -234,3 +234,34 @@ def test_count_deep_bound_gf_matches_dp(capsys):
     rc, dp, _ = run_cli(capsys, *argv, "--engine", "dp")
     assert rc == EXIT_OK
     assert gf.strip() == dp.strip() == "87993316294"
+
+
+@pytest.mark.parametrize("n_list", ["", ","])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_height_rejects_empty_n_list(capsys, n_list, fmt):
+    rc, out, err = run_cli(capsys, "height", "--family", "return-to-zero",
+                           "--n-list", n_list, "--format", fmt)
+    assert rc == EXIT_DOMAIN
+    assert out == "" and "--n-list" in err
+
+
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_invalid_order_env_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LUKAS_ORDER", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--k", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "LUKAS_ORDER" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["all", "oracle", "dp", "closed", "gf"])
+@pytest.mark.parametrize("bound", [None, "3"])
+def test_totals_by_kind_rejected_by_every_engine(capsys, engine, bound):
+    argv = ["count", "--n", "3", "--total", "--kind", "up", "--orientation", "r2l",
+            "--engine", engine]
+    if bound is not None:
+        argv += ["--bound", bound]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_DOMAIN and out == ""
+    assert "totals over end heights are defined for kind=any only" in err

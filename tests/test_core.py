@@ -181,3 +181,13 @@ def test_alternate_counts_never_exceed_unrestricted(n, k, alternate, orientation
     plain = dp_count(PathQuery(n, k, EndKind.ANY, orientation))
     alt = dp_count(PathQuery(n, k, EndKind.ANY, orientation, alternate=True))
     assert alt <= plain
+
+
+@pytest.mark.parametrize("kind", [EndKind.UP, EndKind.FLAT, EndKind.DOWN])
+@pytest.mark.parametrize("bound", [None, 3])
+def test_totals_by_kind_are_not_a_query(kind, bound):
+    from lukaspaths.engines import EngineDomainError
+
+    with pytest.raises(EngineDomainError, match="kind=any only"):
+        PathQuery(3, None, kind, Orientation.R2L, bound)
+    assert dp_count(PathQuery(3, None, EndKind.ANY, Orientation.R2L, bound)) > 0

@@ -1,0 +1,83 @@
+"""Each subcommand imports only the modules it runs: a `lukas` job is a fresh
+process, so every module it imports (and, without cached bytecode, compiles)
+is part of its wall time."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: `lukaspaths.__all__` as published; lazy loading must not change it.
+PUBLIC = [
+    "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "Path", "PathQuery",
+    "Step", "dp_count", "enumerate_count", "enumerate_profile", "is_alternate", "max_height",
+    "validate", "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
+    "catalan_gf", "expand_rational", "lukas_power_coeff", "lukas_power_coeff_ballot",
+    "prefix_count", "prefix_series", "suffix_count", "suffix_series", "SystemMatrix",
+    "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly", "det_poly",
+    "fibonacci_poly", "height_distribution", "n_poly", "total_bounded_gf", "SexticRoot",
+    "alt_asymptotic", "alt_dp_count", "alt_series", "dominant_root", "s1_series",
+    "s2_series", "FAMILIES", "HeightStats", "avg_height", "sqrt_pi_ratio_profile",
+    "substitution_check",
+]
+
+
+def _run(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """The modules loaded once `cli.main(argv)` has run in a fresh process."""
+    code = (
+        "import sys\n"
+        "from lukaspaths import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "sys.stdout.write('\\n' + '\\n'.join(sorted(sys.modules)))\n"
+    )
+    return set(_run(code).split("\n"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "1", "--k", "0"],
+    ["series", "--k", "2", "--order", "8"],
+])
+def test_count_and_series_skip_the_heavy_modules(argv):
+    loaded = _modules_after(argv)
+    assert "lukaspaths.engines" in loaded
+    unwanted = {"dataclasses", "lukaspaths.asymptotics", "lukaspaths.bounded",
+                "lukaspaths.alternate"}
+    assert not loaded & unwanted
+
+
+def test_height_skips_the_engines():
+    loaded = _modules_after(["height", "--family", "return-to-zero", "--n-list", "5"])
+    assert "lukaspaths.asymptotics" in loaded
+    assert not loaded & {"lukaspaths.engines", "lukaspaths.alternate"}
+
+
+def test_package_exports_are_unchanged_and_resolve():
+    import lukaspaths
+
+    assert list(lukaspaths.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(lukaspaths, name) is not None, name
+    assert "lukaspaths.bounded" not in _run(
+        "import sys, lukaspaths; lukaspaths.PathQuery; print(*sys.modules)"
+    ).split()
+
+
+def test_unknown_package_attribute_raises():
+    import lukaspaths
+
+    with pytest.raises(AttributeError):
+        lukaspaths.no_such_name
+    from lukaspaths import bounded  # submodules still import by attribute
+
+    assert lukaspaths.bounded is bounded
