@@ -63,14 +63,23 @@ def _default_order() -> int:
     return value
 
 
-def _nonnegative_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(low: int, rule: str):
+    """An argparse type for ints >= `low`; `rule` names the range in errors."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "positive")
 
 
 def _add_query_flags(p: argparse.ArgumentParser, with_total: bool = True) -> None:
@@ -324,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["oracle", "dp", "closed", "gf", "all"], default="all",
         help="counting engine; 'all' asserts agreement (default)",
     )
-    p_count.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p_count.add_argument("--oracle-cap", type=_nonnegative_int, default=DEFAULT_ORACLE_CAP)
     p_count.add_argument("--format", choices=["json", "text"], default="text")
     p_count.set_defaults(func=cmd_count)
 
     p_series = sub.add_parser("series", help="series coefficients of a query")
     _add_query_flags(p_series)
-    p_series.add_argument("--order", type=int, default=None, help="truncation order")
+    p_series.add_argument("--order", type=_positive_int, default=None, help="truncation order")
     p_series.add_argument("--format", choices=["json", "csv", "text"], default="text")
     p_series.set_defaults(func=cmd_series)
 
@@ -341,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--start", type=int, default=0,
                          help="first computed index to compare")
     _add_query_flags(p_check)
-    p_check.add_argument("--order", type=int, default=None)
+    p_check.add_argument("--order", type=_positive_int, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_height = sub.add_parser("height", help="exact average heights vs sqrt(pi n)")

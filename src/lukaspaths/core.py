@@ -222,18 +222,73 @@ class PathQuery(_Value):
         )
 
 
-# step-class indices used by the counting engines
-_UP, _FLAT, _DOWN, _START = 0, 1, 2, 3
+def _census(
+    n: int,
+    orientation: Orientation,
+    alternate: bool,
+    k: Optional[int] = None,
+    bound: Optional[int] = None,
+) -> dict[tuple[int, EndKind, int], int]:
+    """The oracle's one walker: generate every path of length n step by step
+    and count the paths by (end height, last step kind, max height).
+
+    After a step from height h, with ``rem`` steps still to take, the new
+    height lies in [max(h - 1, 0), min(bound, hi + rem)] left to right and in
+    [max(lo - rem, 0), min(h + 1, bound)] right to left: the step set, the
+    floor, the bound, and an end height in [lo, hi] still reachable.  ``lo``
+    is k (else 0), and ``hi`` is k, else the bound, else n.  A step's kind is
+    the sign of its rise, and an alternate path never repeats the previous
+    step's kind.  The last step's paths are counted in place rather than
+    walked into.
+    """
+    l2r = orientation is Orientation.L2R
+    lo = k or 0
+    hi = k if k is not None else bound if bound is not None else n
+    up, flat, down = range(3)  # STEP_KINDS indices: small-int keys hash fast
+    buckets: dict[tuple[int, int, int], int] = {}
+    get = buckets.get
+
+    def walk(i: int, h: int, top: int, last: Optional[int]) -> None:
+        rem = n - i - 1
+        if l2r:
+            first, stop = (h - 1 if h else 0), hi + rem
+        else:
+            first, stop = (lo - rem if lo > rem else 0), h + 1
+        if bound is not None and stop > bound:
+            stop = bound
+        for nh in range(first, stop + 1):
+            kind = up if nh > h else flat if nh == h else down
+            if alternate and kind == last:
+                continue
+            if rem:
+                walk(i + 1, nh, nh if nh > top else top, kind)
+            else:
+                key = (nh, kind, nh if nh > top else top)
+                buckets[key] = get(key, 0) + 1
+
+    if n:
+        walk(0, 0, 0, None)
+    return {(h, STEP_KINDS[last], top): c for (h, last, top), c in buckets.items()}
 
 
-def _kind_index(kind: EndKind) -> int:
-    return {EndKind.UP: _UP, EndKind.FLAT: _FLAT, EndKind.DOWN: _DOWN}[kind]
+def _tally(census: dict[tuple[int, EndKind, int], int], query: PathQuery) -> int:
+    """The paths of a length-n census that answer `query`: end height k (any
+    if k is None), the query's last step kind, max height within the bound.
+    The empty path (n = 0) counts for kind Any only."""
+    k, kind, bound = query.k, query.kind, query.bound
+    if query.n == 0:
+        return 1 if kind is EndKind.ANY and k in (0, None) else 0
+    return sum(
+        c for (h, last, top), c in census.items()
+        if (k is None or h == k) and kind in (EndKind.ANY, last)
+        and (bound is None or top <= bound)
+    )
 
 
 def enumerate_count(query: PathQuery, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Brute-force oracle: count by explicit recursive generation.
+    """Brute-force oracle: count by explicit generation.
 
-    Up-step sizes are pruned to those that keep the target end height (or the
+    Step sizes are pruned to those that keep the target end height (or the
     bound) reachable, which makes the infinite step alphabet finite for every
     admissible query.
     """
@@ -241,56 +296,8 @@ def enumerate_count(query: PathQuery, cap: int = DEFAULT_ORACLE_CAP) -> int:
         raise OracleCapError(f"oracle cap exceeded: n={query.n} > {cap}")
     if query.is_infinite():
         raise InfiniteFamilyError("infinite family: unbounded l2r query with no end height")
-
-    n, k, bound = query.n, query.k, query.bound
-    l2r = query.orientation is Orientation.L2R
-    alternate = query.alternate
-    want_kind = query.kind
-
-    if n == 0:
-        return 1 if want_kind is EndKind.ANY and k in (0, None) else 0
-
-    count = 0
-
-    def walk(i: int, h: int, last: int) -> None:
-        nonlocal count
-        if i == n:
-            if (k is None or h == k) and (
-                want_kind is EndKind.ANY or _kind_index(want_kind) == last
-            ):
-                count += 1
-            return
-        rem = n - i - 1  # steps remaining after the one taken now
-        if l2r:
-            if not (alternate and last == _UP):
-                jmax_parts = []
-                if bound is not None:
-                    jmax_parts.append(bound - h)
-                if k is not None:
-                    jmax_parts.append(k + rem - h)
-                jmax = min(jmax_parts)
-                for j in range(1, jmax + 1):
-                    walk(i + 1, h + j, _UP)
-            if not (alternate and last == _FLAT):
-                if k is None or h <= k + rem:
-                    walk(i + 1, h, _FLAT)
-            if h >= 1 and not (alternate and last == _DOWN):
-                walk(i + 1, h - 1, _DOWN)
-        else:
-            if not (alternate and last == _UP):
-                ok = bound is None or h + 1 <= bound
-                if ok and (k is None or k <= h + 1 + rem):
-                    walk(i + 1, h + 1, _UP)
-            if not (alternate and last == _FLAT):
-                if k is None or k <= h + rem:
-                    walk(i + 1, h, _FLAT)
-            if h >= 1 and not (alternate and last == _DOWN):
-                jmax = h if k is None else min(h, h + rem - k)
-                for j in range(1, jmax + 1):
-                    walk(i + 1, h - j, _DOWN)
-
-    walk(0, 0, _START)
-    return count
+    census = _census(query.n, query.orientation, query.alternate, query.k, query.bound)
+    return _tally(census, query)
 
 
 def enumerate_profile(
@@ -307,40 +314,7 @@ def enumerate_profile(
     """
     if n > cap:
         raise OracleCapError(f"oracle cap exceeded: n={n} > {cap}")
-    buckets: dict[tuple[int, int, int], int] = {}
-    if n == 0:
-        return {}
-    l2r = orientation is Orientation.L2R
-
-    def walk(i: int, h: int, top: int, last: int) -> None:
-        if i == n:
-            key = (h, last, top)
-            buckets[key] = buckets.get(key, 0) + 1
-            return
-        rem = n - i - 1
-        if l2r:
-            if not (alternate and last == _UP):
-                for j in range(1, n + rem - h + 1):
-                    nh = h + j
-                    walk(i + 1, nh, nh if nh > top else top, _UP)
-            if not (alternate and last == _FLAT):
-                if h <= n + rem:
-                    walk(i + 1, h, top, _FLAT)
-            if h >= 1 and not (alternate and last == _DOWN):
-                walk(i + 1, h - 1, top, _DOWN)
-        else:
-            if not (alternate and last == _UP):
-                nh = h + 1
-                walk(i + 1, nh, nh if nh > top else top, _UP)
-            if not (alternate and last == _FLAT):
-                walk(i + 1, h, top, _FLAT)
-            if h >= 1 and not (alternate and last == _DOWN):
-                for j in range(1, h + 1):
-                    walk(i + 1, h - j, top, _DOWN)
-
-    walk(0, 0, 0, _START)
-    kinds = {_UP: EndKind.UP, _FLAT: EndKind.FLAT, _DOWN: EndKind.DOWN}
-    return {(h, kinds[last], top): c for (h, last, top), c in buckets.items()}
+    return _census(n, orientation, alternate)
 
 
 def dp_count(query: PathQuery) -> int:

@@ -24,6 +24,7 @@ from .core import (
     dp_count,
     enumerate_count,
     enumerate_profile,
+    _tally,
 )
 from .counts import prefix_count, prefix_series, suffix_count, suffix_series
 from .series import Series, catalan, catalan_gf
@@ -144,17 +145,16 @@ def applicable_engines(query: PathQuery, oracle_cap: int = DEFAULT_ORACLE_CAP) -
 # ---------------------------------------------------------------------------
 
 _KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
+#: Lengths on which the per-query oracle also runs, next to the census.
+_PER_QUERY_ORACLE_N_MAX = 5
 
 
-def cross_engine_grid(
-    n_max: int = 9,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    per_query_oracle_n_max: int = 5,
-) -> Optional[str]:
-    """Exhaustive agreement sweep: for every (n <= n_max, k <= n, kind,
-    orientation, bound in {none, 0..n}, alternate) compare the enumeration
-    oracle, the dynamic program, and, where defined, the closed forms and the
-    generating functions.
+def cross_engine_grid(n_max: int = 9) -> Optional[str]:
+    """Exhaustive agreement sweep: for every (n <= n_max, k in {none, 0..n},
+    kind, orientation, bound in {none, 0..n}, alternate) compare the
+    enumeration oracle, the dynamic program, and, where defined, the closed
+    forms and the generating functions.  Totals over end heights (k none)
+    take kind Any only, and infinite families are skipped.
 
     One exhaustive generation pass per (n, orientation, alternate) buckets
     paths by (end height, end kind, max height), from which every bounded and
@@ -167,55 +167,21 @@ def cross_engine_grid(
     for n in range(0, n_max + 1):
         for orientation in (Orientation.L2R, Orientation.R2L):
             for alternate in (False, True):
-                profile = enumerate_profile(n, orientation, alternate, cap=oracle_cap)
-                by_pair: dict[tuple[int, EndKind], list[tuple[int, int]]] = {}
-                for (h, kd, mh), c in profile.items():
-                    by_pair.setdefault((h, kd), []).append((mh, c))
-
-                def oracle_value(k: int, kind: EndKind, bound: Optional[int]) -> int:
-                    total = 0
-                    kinds = _KINDS[1:] if kind is EndKind.ANY else (kind,)
-                    for kd in kinds:
-                        for mh, c in by_pair.get((k, kd), ()):
-                            if bound is None or mh <= bound:
-                                total += c
-                    if n == 0 and k == 0 and kind is EndKind.ANY:
-                        total += 1
-                    return total
-
-                for k in range(0, n + 1):
-                    for kind in _KINDS:
-                        for bound in [None, *range(0, n + 1)]:
-                            if bound is not None and k > bound:
-                                continue
+                profile = enumerate_profile(n, orientation, alternate)
+                for k in (None, *range(0, n + 1)):
+                    for kind in _KINDS[:1] if k is None else _KINDS:
+                        for bound in (None, *range(k or 0, n + 1)):
                             query = PathQuery(n, k, kind, orientation, bound, alternate)
-                            got = {"dp": dp_count(query)}
-                            got["census"] = oracle_value(k, kind, bound)
-                            if n <= per_query_oracle_n_max:
-                                got["oracle"] = enumerate_count(query, cap=oracle_cap)
+                            if query.is_infinite():
+                                continue
+                            got = {"dp": dp_count(query), "census": _tally(profile, query)}
+                            if n <= _PER_QUERY_ORACLE_N_MAX:
+                                got["oracle"] = enumerate_count(query)
                             for engine in ("closed", "gf"):
-                                if engine in applicable_engines(query, oracle_cap):
-                                    got[engine] = count_by_engine(engine, query, oracle_cap)
+                                if engine in applicable_engines(query):
+                                    got[engine] = count_by_engine(engine, query)
                             if len(set(got.values())) != 1:
                                 return f"disagreement at {query}: {got}"
-                # totals over end heights
-                for bound in [None, *range(0, n + 1)]:
-                    query = PathQuery(n, None, EndKind.ANY, orientation, bound, alternate)
-                    if query.is_infinite():
-                        continue
-                    got = {"dp": dp_count(query)}
-                    census = sum(
-                        c for (h, kd, mh), c in profile.items()
-                        if bound is None or mh <= bound
-                    )
-                    got["census"] = census + (1 if n == 0 else 0)
-                    if n <= per_query_oracle_n_max:
-                        got["oracle"] = enumerate_count(query, cap=oracle_cap)
-                    for engine in ("closed", "gf"):
-                        if engine in applicable_engines(query, oracle_cap):
-                            got[engine] = count_by_engine(engine, query, oracle_cap)
-                    if len(set(got.values())) != 1:
-                        return f"disagreement at {query}: {got}"
     return None
 
 

@@ -406,11 +406,6 @@ class RationalGF:
         return f"RationalGF({self.num!r}, {self.den!r})"
 
 
-def expand_rational(gf: RationalGF, order: int) -> Series:
-    """Expand num/den as a power series to the given order."""
-    return gf.expand(order)
-
-
 def catalan_gf(order: int) -> Series:
     """The Catalan generating function (1 - sqrt(1-4z)) / (2z) to the given
     order; coefficient n is the n-th Catalan number."""

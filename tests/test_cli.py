@@ -265,3 +265,36 @@ def test_totals_by_kind_rejected_by_every_engine(capsys, engine, bound):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == EXIT_DOMAIN and out == ""
     assert "totals over end heights are defined for kind=any only" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--k", "1", "--order", "0"),
+    ("series", "--total", "--bound", "2", "--order", "0"),
+    ("series", "--total", "--orientation", "r2l", "--order", "0"),
+    ("series", "--k", "1", "--order", "-3"),
+    ("check", "--bfile", "unused.txt", "--k", "1", "--order", "0"),
+])
+def test_nonpositive_order_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --order: must be positive" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["all", "oracle"])
+def test_negative_oracle_cap_is_a_usage_error(capsys, engine):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--n", "3", "--k", "0", "--oracle-cap", "-1", "--engine", engine])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --oracle-cap: must be nonnegative, got -1" in captured.err
+
+
+def test_zero_oracle_cap_skips_the_oracle(capsys):
+    rc, out, _ = run_cli(capsys, "count", "--n", "3", "--k", "0", "--oracle-cap", "0",
+                         "--format", "json")
+    assert rc == EXIT_OK
+    assert json.loads(out)["meta"]["engines"] == ["dp", "closed", "gf"]

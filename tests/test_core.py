@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +135,43 @@ def test_profile_buckets_match_per_query_oracle():
             kinds = (EndKind.UP, EndKind.FLAT, EndKind.DOWN) if kind is EndKind.ANY else (kind,)
             got = sum(c for (h, kd, mh), c in prof.items() if h == k and kd in kinds)
             assert got == enumerate_count(PathQuery(5, k, kind))
+
+
+def _definitional_census(n, orientation, alternate):
+    """Every step sequence with rises in [-n, 2n] that the definitional model
+    accepts, bucketed by (end height, last step kind, max height); the empty
+    path's kind is None.  Those rises cover every length-n path that ends at
+    height n + 1 or lower, or never climbs above it: left to right a fall is
+    one unit, so no rise exceeds 2n, and right to left no fall exceeds n."""
+    steps = [Step(r) for r in range(-n, 2 * n + 1)]
+    census = Counter()
+    for seq in product(steps, repeat=n):
+        path = Path(seq, orientation)
+        if validate(path) and (not alternate or is_alternate(path)):
+            end = path.heights()[-1] if n else 0
+            census[end, seq[-1].kind if n else None, max_height(path)] += 1
+    return census
+
+
+@pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
+@pytest.mark.parametrize("alternate", [False, True])
+def test_oracle_matches_definitional_model(orientation, alternate):
+    for n in range(0, 5):
+        census = _definitional_census(n, orientation, alternate)
+        profile = {key: c for key, c in census.items() if key[1] is not None and key[0] <= n}
+        assert enumerate_profile(n, orientation, alternate) == profile, n
+        for k in [None, *range(0, n + 2)]:
+            for kind in KINDS[:1] if k is None else KINDS:
+                for bound in [None, *range(k or 0, n + 2)]:
+                    q = PathQuery(n, k, kind, orientation, bound, alternate)
+                    if q.is_infinite():
+                        continue
+                    want = sum(
+                        c for (h, last, top), c in census.items()
+                        if (k is None or h == k) and kind in (EndKind.ANY, last)
+                        and (bound is None or top <= bound)
+                    )
+                    assert enumerate_count(q) == want, q
 
 
 def test_kind_additivity():

@@ -10,7 +10,6 @@ from lukaspaths.series import (
     binom,
     catalan,
     catalan_gf,
-    expand_rational,
     lukas_power_coeff,
     lukas_power_coeff_ballot,
 )
@@ -138,7 +137,7 @@ def test_binom_zero_convention():
 
 def test_expand_rational_fibonacci():
     gf = RationalGF(IntPoly([1]), IntPoly([1, -1, -1]))
-    assert expand_rational(gf, 6).integer_coefficients() == [1, 1, 2, 3, 5, 8]
+    assert gf.expand(6).integer_coefficients() == [1, 1, 2, 3, 5, 8]
 
 
 def test_expand_rational_bounded_rows():

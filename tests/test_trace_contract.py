@@ -24,3 +24,22 @@ def test_tracer_runs_a_count_and_reports():
     record = json.loads(lines[0][len(MARKER):])
     assert set(record) == {"import_s", "stats", "counts"}
     assert record["stats"]["series.Series.mul"][0] > 0
+
+
+def test_selftest_runs_the_traced_oracle_and_dp():
+    """The per-layer oracle and DP metrics read the calls of these names; an
+    oracle routed around them would zero those metrics without an error."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "selftest", "--quick"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: all checks passed"
+    lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0][len(MARKER):])
+    for name in ("core.enumerate_profile", "core.enumerate_count", "core.dp_count",
+                 "engines.cross_engine_grid"):
+        assert record["stats"][name][0] > 0, name
+    assert record["counts"]["core.oracle.paths"] > 0
