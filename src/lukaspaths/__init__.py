@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "series": (
         "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
-        "catalan_gf", "lukas_power_coeff", "lukas_power_coeff_ballot",
+        "catalan_gf", "lukas_power_coeff",
     ),
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
     "bounded": (

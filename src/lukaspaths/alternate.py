@@ -17,20 +17,20 @@ import math
 from typing import NamedTuple
 
 from .core import EndKind, Orientation, PathQuery, dp_count
-from .series import DEFAULT_ORDER, Series
+from .series import DEFAULT_ORDER, IntPoly, Series
 
 #: Margin of extra working coefficients so shifts and divisions inside the
 #: closed forms never eat into the requested order.
 _PAD = 4
 
-#: p(z) = 4z^6 - 4z^4 - 4z^3 - 4z^2 + 1, lowest degree first.
-_SEXTIC = (1, 0, -4, -4, -4, 0, 4)
+#: p(z) = 4z^6 - 4z^4 - 4z^3 - 4z^2 + 1, the discriminant of the kernel in u,
+#: and the other fixed polynomials of the closed forms.
+_SEXTIC = IntPoly([1, 0, -4, -4, -4, 0, 4])
+_ONE_MINUS_2Z3 = IntPoly([1, 0, 0, -2])
+_TWO_PLUS_2Z2 = IntPoly([2, 0, 2])
+_ONE_PLUS_Z2 = IntPoly([1, 0, 1])
 
 DEFAULT_ROOT_TOLERANCE = Fraction(1, 10**64)
-
-
-def _kernel_discriminant(order: int) -> Series:
-    return Series([1, 0, -4, -4, -4, 0, 4][:order] + [0] * max(0, order - 7))
 
 
 def s1_series(order: int = DEFAULT_ORDER) -> Series:
@@ -38,10 +38,8 @@ def s1_series(order: int = DEFAULT_ORDER) -> Series:
     s1 = (1 - 2z^3 + sqrt(4z^6 - 4z^4 - 4z^3 - 4z^2 + 1)) / (2 + 2z^2)."""
     if order < 1:
         raise ValueError("order must be positive")
-    root = _kernel_discriminant(order).sqrt()
-    num = Series([1, 0, 0, -2][:order] + [0] * max(0, order - 4)) + root
-    den = Series([2, 0, 2][:order] + [0] * max(0, order - 3))
-    return num / den
+    root = _SEXTIC.to_series(order).sqrt()
+    return (_ONE_MINUS_2Z3.to_series(order) + root) / _TWO_PLUS_2Z2.to_series(order)
 
 
 def s2_series(order: int = DEFAULT_ORDER) -> Series:
@@ -51,7 +49,7 @@ def s2_series(order: int = DEFAULT_ORDER) -> Series:
         raise ValueError("order must be at least 3 to see the valuation")
     work = order + 2
     s1 = s1_series(work)
-    one_z2 = Series([1, 0, 1] + [0] * (work - 3))
+    one_z2 = _ONE_PLUS_Z2.to_series(work)
     inv = (one_z2 * s1).inverse()
     return inv.shift_up(2).truncate(order)
 
@@ -68,7 +66,7 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
     work = order + _PAD
     s1 = s1_series(work)
     z = Series.z(work)
-    one_z2 = Series([1, 0, 1] + [0] * (work - 3))
+    one_z2 = _ONE_PLUS_Z2.to_series(work)
     s1k = s1**k
 
     if kind is EndKind.UP:
@@ -110,13 +108,6 @@ class SexticRoot(NamedTuple):
         return float(self.value)
 
 
-def _sextic_at(x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(_SEXTIC):
-        acc = acc * x + c
-    return acc
-
-
 def dominant_root(tolerance: Fraction | float = DEFAULT_ROOT_TOLERANCE) -> SexticRoot:
     """Locate the root in (0, 1/2) by bisection in exact rational arithmetic
     until the enclosure is narrower than `tolerance`.
@@ -129,10 +120,10 @@ def dominant_root(tolerance: Fraction | float = DEFAULT_ROOT_TOLERANCE) -> Sexti
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi = Fraction(0), Fraction(1, 2)
-    flo = _sextic_at(lo)
+    flo = _SEXTIC(lo)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        fmid = _sextic_at(mid)
+        fmid = _SEXTIC(mid)
         if fmid == 0:
             lo = hi = mid
             break
@@ -141,7 +132,7 @@ def dominant_root(tolerance: Fraction | float = DEFAULT_ROOT_TOLERANCE) -> Sexti
         else:
             hi = mid
     value = (lo + hi) / 2
-    return SexticRoot(value=value, residual=abs(_sextic_at(value)))
+    return SexticRoot(value=value, residual=abs(_SEXTIC(value)))
 
 
 def alt_asymptotic(n: int, root: SexticRoot | None = None) -> float:

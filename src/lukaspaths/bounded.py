@@ -224,6 +224,8 @@ def bounded_gf(
     """
     if k < 0:
         raise ValueError("end height must be nonnegative")
+    if t < 0:
+        raise ValueError("bound must be nonnegative")
     if k > t:
         raise ValueError(f"height above bound: k={k} > t={t}")
     return RationalGF(_numerator(t, k, kind, orientation), d_poly(t))

@@ -83,7 +83,7 @@ _positive_int = _int_at_least(1, "positive")
 
 
 def _add_query_flags(p: argparse.ArgumentParser, with_total: bool = True) -> None:
-    p.add_argument("--k", type=int, default=None, help="end height")
+    p.add_argument("--k", type=_nonnegative_int, default=None, help="end height")
     if with_total:
         p.add_argument(
             "--total", action="store_true",
@@ -97,7 +97,7 @@ def _add_query_flags(p: argparse.ArgumentParser, with_total: bool = True) -> Non
         "--orientation", choices=[o.value for o in Orientation], default="l2r",
         help="path model (default l2r)",
     )
-    p.add_argument("--bound", type=int, default=None, help="maximum height t")
+    p.add_argument("--bound", type=_nonnegative_int, default=None, help="maximum height t")
     p.add_argument(
         "--alternate", action="store_true",
         help="restrict to paths with no two consecutive same-direction steps",
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count paths matching a query")
-    p_count.add_argument("--n", type=int, required=True, help="path length")
+    p_count.add_argument("--n", type=_nonnegative_int, required=True, help="path length")
     _add_query_flags(p_count)
     p_count.add_argument(
         "--engine", choices=["oracle", "dp", "closed", "gf", "all"], default="all",
@@ -355,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_height = sub.add_parser("height", help="exact average heights vs sqrt(pi n)")
     p_height.add_argument("--family", choices=list(FAMILIES), required=True)
-    p_height.add_argument("--k", type=int, default=None, help="end height for *-at-k families")
+    p_height.add_argument(
+        "--k", type=_nonnegative_int, default=None, help="end height for *-at-k families"
+    )
     p_height.add_argument("--n-list", required=True, help="comma-separated lengths")
     p_height.add_argument("--route", choices=["gf", "dp"], default="gf")
     p_height.add_argument(

@@ -1,25 +1,30 @@
 """Exact arithmetic kernels: truncated power series over Q, integer
 polynomials, and rational generating functions.
 
-Everything is exact.  A series stores Python-int numerators over one positive
-common denominator in lowest terms; every series the library builds has
-denominator 1, so its arithmetic is plain integer arithmetic.  Polynomial
-coefficients are Python ints, and any value that leaves the library as a path
-count is asserted to be a nonnegative integer at the boundary.
+Everything is exact.  A series stores one tuple of coefficients: Python ints,
+with a Fraction only where a coefficient is not integral.  Every series the
+library builds has integer coefficients, so its arithmetic is plain integer
+arithmetic and `fractions` is imported only when a step leaves the integers.
+Polynomial coefficients are Python ints, and any value that leaves the
+library as a path count is asserted to be a nonnegative integer at the
+boundary.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 #: Default truncation order for generating-function expansions.  Overridable
 #: per call and, on the command line, through the LUKAS_ORDER environment
 #: variable.
 DEFAULT_ORDER = 64
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Union
+
+    Rat = Union[int, Fraction]
 
 
 def binom(a: int, b: int) -> int:
@@ -38,7 +43,7 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _trim(c: Sequence[int]) -> Sequence[int]:
+def _trim(c: Sequence[Rat]) -> Sequence[Rat]:
     """`c` without its trailing zeros."""
     n = len(c)
     while n and not c[n - 1]:
@@ -46,7 +51,7 @@ def _trim(c: Sequence[int]) -> Sequence[int]:
     return c[:n]
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+def _convolve(a: Sequence[Rat], b: Sequence[Rat], m: int) -> list[Rat]:
     """Coefficients 0..m-1 of a*b, each one C-level dot product against the
     shorter operand reversed, so a product with z or 1 + z^2 costs O(m)."""
     a, b = _trim(a[:m]), _trim(b[:m])
@@ -60,17 +65,22 @@ def _convolve(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     return out
 
 
-def _quotient(a: Sequence[Rat], b: Sequence[int], m: int) -> list[Rat]:
+def _quotient(a: Sequence[Rat], b: Sequence[Rat], m: int) -> list[Rat]:
     """Coefficients 0..m-1 of the series a/b (both zero past their ends,
-    b[0] != 0) by b[0] q_n = a_n - sum_j b_j q_(n-j).  Each step divides by
-    b[0] exactly in ints, as it always can when b[0] = +-1, and falls back
-    to a Fraction otherwise."""
+    b[0] != 0, either may hold Fractions) by b[0] q_n = a_n - sum_j b_j q_(n-j).
+    A step whose division by b[0] is exact, as every step is for integer
+    operands with b[0] = +-1, yields an int; only an inexact one makes a
+    Fraction."""
     b0, tail = b[0], _trim(b[1:m])
     out: list[Rat] = []
     for n in range(m):
         acc = (a[n] if n < len(a) else 0) - sum(map(mul, tail, reversed(out)))
         q, r = divmod(acc, b0)
-        out.append(Fraction(acc, b0) if r else q)
+        if r:
+            from fractions import Fraction
+
+            q = Fraction(acc, b0)
+        out.append(q)
     return out
 
 
@@ -81,20 +91,21 @@ class Series:
     binary operations truncate to the shorter operand, so results never claim
     coefficients that were not actually determined.
 
-    Coefficient n is the int nums[n] over den, with den > 0 in lowest terms.
+    `coeffs` holds every coefficient as an int, or as a Fraction where it is
+    not integral.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rat], den: int = 1):
+    def __init__(self, coeffs: Iterable[Rat]):
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        if den != 1 or not all(type(c) is int for c in cs):
-            fs = [Fraction(c) / den for c in cs]
-            den = lcm(*(f.denominator for f in fs))
-            cs = tuple(f.numerator * (den // f.denominator) for f in fs)
-        self.nums, self.den = cs, den
+        if not all(type(c) is int for c in cs):
+            from fractions import Fraction
+
+            cs = tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, cs))
+        self.coeffs = cs
 
     # -- constructors ------------------------------------------------------
 
@@ -120,50 +131,43 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.nums)
-
-    @property
-    def coeffs(self) -> tuple[Rat, ...]:
-        """The coefficients: ints when the denominator is 1, else Fractions."""
-        return self.nums if self.den == 1 else tuple(Fraction(c, self.den) for c in self.nums)
+        return len(self.coeffs)
 
     def __getitem__(self, n: int) -> Rat:
-        if not 0 <= n < len(self.nums):
+        if not 0 <= n < len(self.coeffs):
             raise IndexError(f"coefficient {n} unknown at truncation order {self.order}")
-        return self.nums[n] if self.den == 1 else Fraction(self.nums[n], self.den)
+        return self.coeffs[n]
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return Series(self.nums[:order], self.den)
+        return Series(self.coeffs[:order])
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient (= order if all zero)."""
-        for i, c in enumerate(self.nums):
+        for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
         return self.order
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as ints; raises if any is not an integer."""
-        if self.den != 1:  # lowest terms: some numerator is not a multiple
-            i = next(i for i, c in enumerate(self.nums) if c % self.den)
-            raise ValueError(f"coefficient {i} = {self[i]} is not an integer")
-        return list(self.nums)
+        for i, c in enumerate(self.coeffs):
+            if type(c) is not int:
+                raise ValueError(f"coefficient {i} = {c} is not an integer")
+        return list(self.coeffs)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Series":
         if not isinstance(other, Series):
             other = Series.constant(other, self.order)
-        den = lcm(self.den, other.den)
-        x, y = den // self.den, den // other.den
-        return Series([p * x + q * y for p, q in zip(self.nums, other.nums)], den)
+        return Series([p + q for p, q in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self.nums], self.den)
+        return Series([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Series":
         return self + (-other)
@@ -173,10 +177,9 @@ class Series:
 
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
-            f = Fraction(other)
-            return Series([c * f.numerator for c in self.nums], self.den * f.denominator)
+            return Series([c * other for c in self.coeffs])
         m = min(self.order, other.order)
-        return Series(_convolve(self.nums, other.nums, m), self.den * other.den)
+        return Series(_convolve(self.coeffs, other.coeffs, m))
 
     __rmul__ = __mul__
 
@@ -199,12 +202,11 @@ class Series:
 
     def __truediv__(self, other) -> "Series":
         if not isinstance(other, Series):
-            return self * (Fraction(1) / Fraction(other))
-        if other.nums[0] == 0:
+            other = Series.constant(other, self.order)
+        if other.coeffs[0] == 0:
             raise ValueError("non-invertible series (zero constant term)")
         m = min(self.order, other.order)
-        q = Series(_quotient(self.nums, other.nums, m))
-        return q if self.den == other.den else q * Fraction(other.den, self.den)
+        return Series(_quotient(self.coeffs, other.coeffs, m))
 
     def __rtruediv__(self, other) -> "Series":
         return Series.constant(other, self.order) / self
@@ -216,13 +218,13 @@ class Series:
         coefficients, starting from s = 1.  When the root is integral, as the
         alternate-path kernel root is, so is every iterate.
         """
-        if self.nums[0] != self.den:
+        if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
         s = Series.one(1)
         while s.order < self.order:
             m = min(2 * s.order, self.order)
-            s = Series(s.nums + (0,) * (m - s.order), s.den)
-            s = (s + self.truncate(m) / s) * Fraction(1, 2)
+            s = Series(s.coeffs + (0,) * (m - s.order))
+            s = (s + self.truncate(m) / s) / 2
         return s
 
     # -- shifts ------------------------------------------------------------
@@ -232,7 +234,7 @@ class Series:
         if j == 0:
             return self
         keep = max(self.order - j, 0)
-        return Series((0,) * min(j, self.order) + self.nums[:keep], self.den)
+        return Series((0,) * min(j, self.order) + self.coeffs[:keep])
 
     def shift_down(self, j: int) -> "Series":
         """Divide by z^j; requires valuation >= j.  The order shrinks by j."""
@@ -240,14 +242,14 @@ class Series:
             return self
         if self.order <= j:
             raise ValueError("order too small to shift down")
-        if any(self.nums[:j]):
+        if any(self.coeffs[:j]):
             raise ValueError("valuation too small to divide by z^j")
-        return Series(self.nums[j:], self.den)
+        return Series(self.coeffs[j:])
 
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and (self.nums, self.den) == (other.nums, other.den)
+        return isinstance(other, Series) and self.coeffs == other.coeffs
 
     __hash__ = None  # mutable-free but equality is structural; keep unhashable
 
@@ -389,10 +391,7 @@ class RationalGF:
 
     def coefficients_int(self, order: int) -> list[int]:
         """The expansion's coefficients as ints; raises if one is not."""
-        return Series(_quotient(self.num.coeffs, self.den.coeffs, order)).integer_coefficients()
-
-    def coefficient(self, n: int) -> Rat:
-        return self.expand(n + 1)[n]
+        return self.expand(order).integer_coefficients()
 
     def __eq__(self, other) -> bool:
         """Equality as rational functions (cross-multiplied)."""
@@ -427,14 +426,3 @@ def lukas_power_coeff(n: int, k: int) -> int:
         return 1
     return binom(2 * n - 1 + k, n) - binom(2 * n - 1 + k, n - 1)
 
-
-def lukas_power_coeff_ballot(n: int, k: int) -> int:
-    """Equivalent ballot-style closed form k/(2n+k) * C(2n+k, n), valid for
-    k >= 1; kept as an independent cross-check of `lukas_power_coeff`."""
-    if k < 1:
-        raise ValueError("ballot form requires k >= 1")
-    val = k * binom(2 * n + k, n)
-    q, r = divmod(val, 2 * n + k)
-    if r:
-        raise ArithmeticError(f"ballot form not integral at n={n}, k={k}")
-    return q

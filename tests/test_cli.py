@@ -267,6 +267,15 @@ def test_totals_by_kind_rejected_by_every_engine(capsys, engine, bound):
     assert "totals over end heights are defined for kind=any only" in err
 
 
+def assert_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("series", "--k", "1", "--order", "0"),
     ("series", "--total", "--bound", "2", "--order", "0"),
@@ -275,22 +284,28 @@ def test_totals_by_kind_rejected_by_every_engine(capsys, engine, bound):
     ("check", "--bfile", "unused.txt", "--k", "1", "--order", "0"),
 ])
 def test_nonpositive_order_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --order: must be positive" in captured.err
+    assert_usage_error(capsys, argv, "argument --order: must be positive")
 
 
 @pytest.mark.parametrize("engine", ["all", "oracle"])
 def test_negative_oracle_cap_is_a_usage_error(capsys, engine):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--n", "3", "--k", "0", "--oracle-cap", "-1", "--engine", engine])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --oracle-cap: must be nonnegative, got -1" in captured.err
+    argv = ["count", "--n", "3", "--k", "0", "--oracle-cap", "-1", "--engine", engine]
+    assert_usage_error(capsys, argv, "argument --oracle-cap: must be nonnegative, got -1")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--n", "-1", "--k", "0"), "--n"),
+    (("count", "--n", "3", "--k", "-1"), "--k"),
+    (("count", "--n", "3", "--k", "0", "--bound", "-1"), "--bound"),
+    (("series", "--k", "-1", "--order", "4"), "--k"),
+    (("series", "--k", "0", "--bound", "-1", "--order", "4"), "--bound"),
+    (("series", "--total", "--bound", "-1"), "--bound"),
+    (("check", "--bfile", "unused.txt", "--k", "-1"), "--k"),
+    (("check", "--bfile", "unused.txt", "--k", "1", "--bound", "-1"), "--bound"),
+    (("height", "--family", "prefix-at-k", "--k", "-1", "--n-list", "4"), "--k"),
+])
+def test_negative_query_argument_is_a_usage_error(capsys, argv, flag):
+    assert_usage_error(capsys, argv, f"argument {flag}: must be nonnegative, got -1")
 
 
 def test_zero_oracle_cap_skips_the_oracle(capsys):

@@ -11,7 +11,6 @@ from lukaspaths.series import (
     catalan,
     catalan_gf,
     lukas_power_coeff,
-    lukas_power_coeff_ballot,
 )
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -121,6 +120,18 @@ def test_lukas_power_coeff_against_folded_powers():
         power = brute_convolution_power(base, k, order)
         for n in range(order):
             assert lukas_power_coeff(n, k) == power[n], (n, k)
+
+
+def lukas_power_coeff_ballot(n: int, k: int) -> int:
+    """Equivalent ballot-style closed form k/(2n+k) * C(2n+k, n), valid for
+    k >= 1; kept as an independent cross-check of `lukas_power_coeff`."""
+    if k < 1:
+        raise ValueError("ballot form requires k >= 1")
+    val = k * binom(2 * n + k, n)
+    q, r = divmod(val, 2 * n + k)
+    if r:
+        raise ArithmeticError(f"ballot form not integral at n={n}, k={k}")
+    return q
 
 
 def test_lukas_power_coeff_ballot_form_agrees():

@@ -15,7 +15,7 @@ PUBLIC = [
     "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "Path", "PathQuery",
     "Step", "dp_count", "enumerate_count", "enumerate_profile", "is_alternate", "max_height",
     "validate", "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
-    "catalan_gf", "lukas_power_coeff", "lukas_power_coeff_ballot",
+    "catalan_gf", "lukas_power_coeff",
     "prefix_count", "prefix_series", "suffix_count", "suffix_series", "SystemMatrix",
     "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly", "det_poly",
     "fibonacci_poly", "height_distribution", "n_poly", "total_bounded_gf", "SexticRoot",
@@ -51,7 +51,7 @@ def _modules_after(argv: list[str]) -> set[str]:
 def test_count_and_series_skip_the_heavy_modules(argv):
     loaded = _modules_after(argv)
     assert "lukaspaths.engines" in loaded
-    unwanted = {"dataclasses", "lukaspaths.asymptotics", "lukaspaths.bounded",
+    unwanted = {"dataclasses", "fractions", "lukaspaths.asymptotics", "lukaspaths.bounded",
                 "lukaspaths.alternate"}
     assert not loaded & unwanted
 
