@@ -31,18 +31,6 @@ class HeightStats(NamedTuple):
     ratio: float
 
 
-def _family_total(n: int, family: str, k: Optional[int]) -> int:
-    if family == "return-to-zero":
-        return catalan(n)
-    if family == "prefix-at-k":
-        return prefix_count(n, k, EndKind.ANY)
-    if family == "suffix-at-k":
-        return suffix_count(n, k, EndKind.ANY)
-    if family == "suffix-any":
-        return catalan(n + 1)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _family_model(family: str, k: Optional[int]) -> tuple[Optional[int], Orientation]:
     """End height (None: any) and orientation of a family's bounded counts."""
     if family == "return-to-zero":
@@ -52,6 +40,15 @@ def _family_model(family: str, k: Optional[int]) -> tuple[Optional[int], Orienta
     if family == "suffix-at-k":
         return k, Orientation.R2L
     return None, Orientation.R2L
+
+
+def _family_total(n: int, family: str, k: Optional[int]) -> int:
+    """The family's size at length n: the unbounded count of its model."""
+    end, orientation = _family_model(family, k)
+    if end is None:  # right-to-left paths of length n, any end height
+        return catalan(n + 1)
+    count = prefix_count if orientation is Orientation.L2R else suffix_count
+    return count(n, end, EndKind.ANY)
 
 
 def _dp_bounded_count(n: int, t: int, family: str, k: Optional[int]) -> int:

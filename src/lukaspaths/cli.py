@@ -195,11 +195,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _series_values(args: argparse.Namespace, order: int) -> list[int]:
+def _series_values(fields: dict, total: bool, order: int) -> list[int]:
     from .engines import series_for_query
 
-    fields = _query_fields(args)
-    if fields["k"] is None and not getattr(args, "total", False):
+    if fields["k"] is None and not total:
         raise EngineDomainError("series needs --k or --total")
     series = series_for_query(order=order, **fields)
     return series.integer_coefficients()
@@ -207,8 +206,8 @@ def _series_values(args: argparse.Namespace, order: int) -> list[int]:
 
 def cmd_series(args: argparse.Namespace) -> int:
     order = args.order if args.order is not None else _default_order()
-    values = _series_values(args, order)
     fields = _query_fields(args)
+    values = _series_values(fields, args.total, order)
     meta = {"engines": ["gf"], "oracle_cap": None, "order": order, "precision": None}
     _emit_record(
         _query_echo(fields, total=args.total),
@@ -230,7 +229,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     order = args.order if args.order is not None else _default_order()
     bfile = read_bfile(args.bfile)
-    values = _series_values(args, order)
+    values = _series_values(_query_fields(args), args.total, order)
     ncomp, mismatches = compare_bfile(bfile, values, shift=args.shift, start=args.start)
     for i, got, want in mismatches:
         print(f"index {i}: computed {got} != fixture {want}")
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bfile", required=True, help="path to the b-file")
     p_check.add_argument("--shift", type=int, default=0,
                          help="computed[i] is compared to fixture[i - shift]")
-    p_check.add_argument("--start", type=int, default=0,
+    p_check.add_argument("--start", type=_nonnegative_int, default=0,
                          help="first computed index to compare")
     _add_query_flags(p_check)
     p_check.add_argument("--order", type=_positive_int, default=None)

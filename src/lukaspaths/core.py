@@ -12,6 +12,8 @@ All counts are exact Python ints.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Optional
 
 DEFAULT_ORACLE_CAP = 10
@@ -320,77 +322,46 @@ def enumerate_profile(
 def dp_count(query: PathQuery) -> int:
     """Dynamic-programming counter over (height, last-step class).
 
-    Prefix/suffix sums make each length step cost O(max height) big-integer
-    additions; the working height range is k + (n - position) when the end
-    height is fixed, otherwise the bound (or n in the suffix model).
+    After i steps, three lists indexed by height count the paths by the kind
+    of their last step, over heights 0..c_i.  The cap c_i is the bound, and
+    also k + n - i left to right with a fixed end height k (higher paths can
+    no longer come down to k) and i right to left (rises are unit steps).
+    Each step is whole-list prefix or suffix sums, so it costs O(c_i)
+    big-integer additions.
     """
     if query.is_infinite():
         raise InfiniteFamilyError("infinite family: unbounded l2r query with no end height")
-    n, k, bound = query.n, query.k, query.bound
-    l2r = query.orientation is Orientation.L2R
-    alternate = query.alternate
-
+    n, k = query.n, query.k
     if n == 0:
         return 1 if query.kind is EndKind.ANY and k in (0, None) else 0
-
-    def cap_at(i: int) -> int:
-        c = None
-        if bound is not None:
-            c = bound
-        if not l2r:
-            c = i if c is None else min(c, i)
-        if k is not None and l2r:
-            reach = k + (n - i)
-            c = reach if c is None else min(c, reach)
-        return c
-
-    height_top = max(cap_at(i) for i in range(1, n + 1))
-    size = height_top + 2  # one slack slot for h + 1 reads
-    up = [0] * size
-    flat = [0] * size
-    down = [0] * size
-    start = [0] * size
-    start[0] = 1
-
+    l2r = query.orientation is Orientation.L2R
+    # No path needs a height above n + k (left to right, fixed k) or n
+    # (right to left); is_infinite() rules out both the bound and k missing.
+    reach = n if not l2r else None if k is None else n + k
+    top = min(h for h in (query.bound, reach) if h is not None)
+    # Source lists carry one zero past the cap, so every slice below has
+    # length c + 1.  The empty path at height 0 is the source of every kind
+    # of first step.
+    src_up = src_flat = src_down = [1] + [0] * (top + 1)
     for i in range(1, n + 1):
-        ci = cap_at(i)
-        prev_ci = cap_at(i - 1) if i > 1 else 0
-        hi = min(max(ci, prev_ci) + 1, height_top + 1)
-        if alternate:
-            src_up = [start[h] + flat[h] + down[h] for h in range(hi + 1)]
-            src_flat = [start[h] + up[h] + down[h] for h in range(hi + 1)]
-            src_down = [start[h] + up[h] + flat[h] for h in range(hi + 1)]
+        if l2r:  # up from any lower height, down by one from h + 1
+            c = top if k is None else min(top, k + n - i)
+            up = list(accumulate(src_up[:c], initial=0))
+            down = src_down[1 : c + 2]
+        else:  # up by one from h - 1, down from any higher height
+            c = min(top, i)
+            up = [0, *src_up[:c]]
+            down = list(accumulate(src_down[c:0:-1], initial=0))[::-1]
+        flat = src_flat[: c + 1]
+        if query.alternate:
+            src_up = [*map(add, flat, down), 0]
+            src_flat = [*map(add, up, down), 0]
+            src_down = [*map(add, up, flat), 0]
         else:
-            tot = [start[h] + up[h] + flat[h] + down[h] for h in range(hi + 1)]
-            src_up = src_flat = src_down = tot
-        new_up = [0] * size
-        new_flat = [0] * size
-        new_down = [0] * size
-        if l2r:
-            run = 0
-            for h in range(0, ci + 1):
-                if h >= 1:
-                    run += src_up[h - 1]
-                    new_up[h] = run
-                new_flat[h] = src_flat[h]
-                new_down[h] = src_down[h + 1] if h + 1 <= hi else 0
-        else:
-            suffix = 0
-            for h in range(hi, -1, -1):
-                if h <= ci:
-                    new_down[h] = suffix
-                    new_flat[h] = src_flat[h]
-                    if h >= 1:
-                        new_up[h] = src_up[h - 1]
-                suffix += src_down[h]
-        up, flat, down = new_up, new_flat, new_down
-        start = [0] * size
+            src_up = src_flat = src_down = [*map(add, map(add, up, flat), down), 0]
 
-    def pick(arr: list[int]) -> int:
-        if k is not None:
-            return arr[k] if k < size else 0
-        return sum(arr[: cap_at(n) + 1])
-
-    if query.kind is EndKind.ANY:
-        return pick(up) + pick(flat) + pick(down)
-    return pick({EndKind.UP: up, EndKind.FLAT: flat, EndKind.DOWN: down}[query.kind])
+    by_kind = dict(zip(STEP_KINDS, (up, flat, down)))
+    ends = by_kind.values() if query.kind is EndKind.ANY else [by_kind[query.kind]]
+    if k is None:
+        return sum(map(sum, ends))
+    return sum(end[k] for end in ends) if k <= c else 0

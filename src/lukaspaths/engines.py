@@ -126,16 +126,9 @@ def applicable_engines(query: PathQuery, oracle_cap: int = DEFAULT_ORACLE_CAP) -
         out.insert(0, "oracle")
     if not query.alternate and query.bound is None:
         out.append("closed")
-    gf_ok = (
-        not query.alternate
-        and (query.bound is not None or query.k is not None or query.orientation is Orientation.R2L)
-    ) or (
-        query.alternate
-        and query.orientation is Orientation.L2R
-        and query.bound is None
-        and query.k is not None
-    )
-    if gf_ok:
+    if not query.alternate or (
+        query.orientation is Orientation.L2R and query.bound is None and query.k is not None
+    ):
         out.append("gf")
     return out
 
@@ -241,6 +234,8 @@ def compare_bfile(
     """Compare computed[i] against the b-file value at index i - shift for
     every i >= start where both sides exist.  Returns (comparisons,
     mismatches) with mismatches as (index, computed, fixture) triples."""
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
     table = bfile.as_dict()
     comparisons = 0
     mismatches: list[tuple[int, int, int]] = []

@@ -11,8 +11,9 @@ boundary.
 """
 from __future__ import annotations
 
+from itertools import starmap, zip_longest
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 #: Default truncation order for generating-function expansions.  Overridable
@@ -269,10 +270,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = _trim(tuple(map(int, coeffs)))
 
     @property
     def degree(self) -> int:
@@ -289,13 +287,7 @@ class IntPoly:
         return acc
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly(starmap(add, zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])

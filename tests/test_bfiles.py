@@ -1,6 +1,11 @@
-"""The bundled b-files are exactly what tools/gen_bfiles.py writes."""
+"""The bundled b-files are exactly what tools/gen_bfiles.py writes, and the
+b-file comparison rejects what it cannot index."""
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from lukaspaths.engines import BFile, compare_bfile
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "lukaspaths" / "data"
@@ -16,3 +21,10 @@ def test_bundled_bfiles_match_the_generator(tmp_path, monkeypatch):
     assert written == sorted(p.name for p in DATA.glob("b*.txt"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_compare_bfile_rejects_a_negative_start():
+    bfile = BFile(((0, 1), (1, 1), (2, 2)))
+    assert compare_bfile(bfile, [0, 1, 1, 2], shift=1, start=0) == (3, [])
+    with pytest.raises(ValueError, match="start must be nonnegative, got -1"):
+        compare_bfile(bfile, [0, 1, 1, 2], shift=1, start=-1)

@@ -303,6 +303,7 @@ def test_negative_oracle_cap_is_a_usage_error(capsys, engine):
     (("check", "--bfile", "unused.txt", "--k", "-1"), "--k"),
     (("check", "--bfile", "unused.txt", "--k", "1", "--bound", "-1"), "--bound"),
     (("height", "--family", "prefix-at-k", "--k", "-1", "--n-list", "4"), "--k"),
+    (("check", "--bfile", "unused.txt", "--k", "1", "--shift", "-1", "--start", "-1"), "--start"),
 ])
 def test_negative_query_argument_is_a_usage_error(capsys, argv, flag):
     assert_usage_error(capsys, argv, f"argument {flag}: must be nonnegative, got -1")

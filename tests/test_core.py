@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lukaspaths.alternate import alt_series
+from lukaspaths.bounded import bounded_gf
 from lukaspaths.core import (
     EndKind,
     InfiniteFamilyError,
@@ -19,6 +21,7 @@ from lukaspaths.core import (
     max_height,
     validate,
 )
+from lukaspaths.engines import closed_count
 from lukaspaths.series import catalan
 
 U, F, D = Step.up, Step.flat, Step.down
@@ -174,26 +177,63 @@ def test_oracle_matches_definitional_model(orientation, alternate):
                     assert enumerate_count(q) == want, q
 
 
+#: Lengths for the DP-only invariants: the whole small range, then a few
+#: lengths far past the n <= 9 cross-engine grid.
+INVARIANT_LENGTHS = (*range(8), 13, 24, 40)
+MODELS = list(product((Orientation.L2R, Orientation.R2L), (False, True)))
+
+
 def test_kind_additivity():
-    for n in range(0, 7):
+    for n, (orientation, alternate) in product(INVARIANT_LENGTHS, MODELS):
         for k in range(0, n + 1):
-            for orientation in (Orientation.L2R, Orientation.R2L):
-                for alternate in (False, True):
-                    parts = sum(
-                        dp_count(PathQuery(n, k, kind, orientation, None, alternate))
-                        for kind in (EndKind.UP, EndKind.FLAT, EndKind.DOWN)
-                    )
-                    whole = dp_count(PathQuery(n, k, EndKind.ANY, orientation, None, alternate))
-                    eps = 1 if (n == 0 and k == 0) else 0
-                    assert whole == parts + eps
+            parts = sum(
+                dp_count(PathQuery(n, k, kind, orientation, None, alternate))
+                for kind in (EndKind.UP, EndKind.FLAT, EndKind.DOWN)
+            )
+            whole = dp_count(PathQuery(n, k, EndKind.ANY, orientation, None, alternate))
+            eps = 1 if (n == 0 and k == 0) else 0
+            assert whole == parts + eps
 
 
 def test_bound_saturation():
-    for n in range(0, 8):
+    # no path of length n ending at k climbs above n + k, in either model;
+    # a bound far above that must not size the DP's lists either
+    huge = 10**12
+    for n, (orientation, alternate) in product(INVARIANT_LENGTHS, MODELS):
         for k in range(0, n + 1):
-            free = dp_count(PathQuery(n, k))
-            assert dp_count(PathQuery(n, k, bound=n + k)) == free
-            assert dp_count(PathQuery(n, k, bound=2 * n + k + 3)) == free
+            free = dp_count(PathQuery(n, k, EndKind.ANY, orientation, None, alternate))
+            for bound in (n + k, 2 * n + k + 3, huge):
+                q = PathQuery(n, k, EndKind.ANY, orientation, bound, alternate)
+                assert dp_count(q) == free, q
+        if orientation is Orientation.R2L:
+            free = dp_count(PathQuery(n, None, EndKind.ANY, orientation, None, alternate))
+            for bound in (n, huge):
+                q = PathQuery(n, None, EndKind.ANY, orientation, bound, alternate)
+                assert dp_count(q) == free, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dp_agrees_with_the_other_engines_past_the_grid(data):
+    """Unbounded counts against the closed forms (n <= 300), bounded counts
+    against the bounded generating functions (n <= 60), and unbounded
+    alternate left-to-right counts against the alternate series (n <= 60)."""
+    route = data.draw(st.sampled_from(["closed", "bounded", "alternate"]))
+    n = data.draw(st.integers(1, 300 if route == "closed" else 60), label="n")
+    k = data.draw(st.integers(0, 12), label="k")
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    orientation = Orientation.L2R
+    if route != "alternate":
+        orientation = data.draw(st.sampled_from([Orientation.L2R, Orientation.R2L]))
+    bound = None
+    if route == "closed":
+        want = closed_count(n, k, kind, orientation)
+    elif route == "bounded":
+        bound = data.draw(st.integers(k, k + 12), label="bound")
+        want = bounded_gf(bound, k, kind, orientation).coefficients_int(n + 1)[n]
+    else:
+        want = alt_series(k, kind, n + 1)[n]
+    assert dp_count(PathQuery(n, k, kind, orientation, bound, route == "alternate")) == want
 
 
 def test_catalan_closure():
