@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .bounded import bounded_gf_sweep, d_poly, n_poly
-from .core import FAMILIES, EndKind, InfiniteFamilyError, Orientation, PathQuery, dp_count
+from .core import FAMILIES, EndKind, InfiniteFamilyError, Orientation, _bound_sweep
 from .counts import prefix_count, suffix_count
 from .series import catalan
 
@@ -51,30 +51,41 @@ def _family_total(n: int, family: str, k: Optional[int]) -> int:
     return count(n, end, EndKind.ANY)
 
 
-def _dp_bounded_count(n: int, t: int, family: str, k: Optional[int]) -> int:
-    if k is not None and t < k:
-        return 0
-    end, orientation = _family_model(family, k)
-    return dp_count(PathQuery(n, end, EndKind.ANY, orientation, bound=t))
-
-
 def _gf_bounded_counts(n: int, family: str, k: Optional[int]) -> Iterator[int]:
     """c_t(n) for t = 0, 1, ...: zero below the end height, then the n-th
-    coefficient of each bound's generating function, swept up in t."""
+    coefficient of each bound's generating function, swept up in t.
+
+    The sweep steps numerator and D_t by one recurrence, so the Casoratian
+    W_t = N_t D_(t-1) - N_(t-1) D_t gains a factor z per bound, and with
+    D_t(0) = +-1 the difference N_t/D_t - N_(t-1)/D_(t-1) = W_t/(D_t D_(t-1))
+    starts at z^val(W_t).  Each expansion therefore reuses the previous one
+    below that power and runs the quotient recurrence only above it."""
     end, orientation = _family_model(family, k)
     yield from repeat(0, k or 0)
-    for gf in bounded_gf_sweep(end, EndKind.ANY, orientation):
-        yield gf.coefficients_int(n + 1)[n]
+    gfs = bounded_gf_sweep(end, EndKind.ANY, orientation)
+    gf, nxt = next(gfs), next(gfs)
+    w = (nxt.num * gf.den - gf.num * nxt.den).coeffs
+    same = next(i for i, c in enumerate(w) if c)  # val(W_(t0+1))
+    coeffs = gf.expand(n + 1).coeffs
+    yield coeffs[n]
+    for gf in chain([nxt], gfs):
+        coeffs = gf.expand(n + 1, coeffs[:same]).coeffs
+        yield coeffs[n]
+        same += 1
 
 
 def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") -> HeightStats:
     """Exact mean of the max-height statistic over the family at length n.
 
-    `route` selects how the bounded counts c_t(n) are produced: "gf" expands
-    the exact rational generating functions, stepping their numerators and
-    denominators up in t, "dp" runs the bounded dynamic program once per t.
-    Both are exact; they cross-check each other in the tests.  `k` is the
-    end height of the *-at-k families and is rejected for the others.
+    `route` selects how the bounded counts c_t(n) are produced, each by one
+    sweep of the bound t.  "gf" steps the exact rational generating
+    functions' numerators and denominators up in t and expands each bound
+    only from the first power where it differs from the bound before; "dp"
+    advances one unbounded dynamic program in lockstep with t and finishes
+    each bound from a copy of its state.  Both are exact and independent of
+    each other; they cross-check each other in the tests.  `k` is the end
+    height of the *-at-k families and is rejected for the others; a
+    suffix-at-k family with k > n is empty and rejected too.
     """
     if n < 1:
         raise ValueError("length must be positive")
@@ -87,7 +98,7 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     if family in ("prefix-at-k", "suffix-at-k"):
         if k is None:
             raise ValueError(f"family {family!r} needs an end height k")
-        if k > n:
+        if family == "suffix-at-k" and k > n:  # unit rises: no path gets there
             raise ValueError("end height exceeds the length")
     elif k is not None:
         raise ValueError(f"family {family!r} has no end height k")
@@ -99,7 +110,7 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     if route == "gf":
         counts = _gf_bounded_counts(n, family, k)
     else:
-        counts = (_dp_bounded_count(n, t, family, k) for t in count())
+        counts = _bound_sweep(n, *_family_model(family, k))
     excess = 0  # sum over t of (total - c_t)
     for _, c_t in zip(range(t_stop + 1), counts):
         if c_t == total:

@@ -11,9 +11,10 @@ and how `bounded_gf_sweep` steps one family's generating function up in t.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import EndKind, Orientation, PathQuery, dp_count
+from .core import EndKind, Orientation, _bound_sweep
 from .series import IntPoly, RationalGF, binom
 
 _ZERO = IntPoly()
@@ -273,11 +274,9 @@ def bounded_gf_sweep(
 
 def height_distribution(n: int) -> list[int]:
     """c_t(n) for t = 0..n: length-n paths returning to height 0 whose
-    height never exceeds t.  Computed by the bounded dynamic program; the
-    generating-function route re-derives it in the test suite."""
+    height never exceeds t.  Computed by one sweep of the bounded dynamic
+    program over t; the generating-function route re-derives it in the test
+    suite."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return [
-        dp_count(PathQuery(n, 0, EndKind.ANY, Orientation.L2R, bound=t))
-        for t in range(n + 1)
-    ]
+    return list(islice(_bound_sweep(n, 0, Orientation.L2R), n + 1))

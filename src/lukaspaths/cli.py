@@ -30,6 +30,7 @@ EXIT_ORACLE_CAP = 4     # oracle asked beyond its cap
 EXIT_DISAGREE = 5       # engine disagreement, selftest or check failure
 EXIT_BFILE = 6          # unreadable or malformed b-file
 EXIT_DOMAIN = 7         # query outside an engine's or family's domain
+EXIT_INTERNAL = 8       # any other exception: a fault of the program
 
 _EPILOG = """\
 exit codes:
@@ -40,6 +41,7 @@ exit codes:
   5  engine disagreement / failed selftest or check
   6  unreadable or malformed b-file
   7  query outside the requested engine's or family's domain
+  8  internal error (an unexpected exception, reported on one line)
 
 environment:
   LUKAS_ORDER  default truncation order for series output (default 64);
@@ -390,6 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EngineDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -12,9 +12,9 @@ All counts are exact Python ints.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -365,3 +365,45 @@ def dp_count(query: PathQuery) -> int:
     if k is None:
         return sum(map(sum, ends))
     return sum(end[k] for end in ends) if k <= c else 0
+
+
+def _walk_step(src: list[int], grow: bool) -> list[int]:
+    """One step of the walk with unit rises and falls of any size: the new
+    count at h is the rise from h - 1 plus the flat step and every fall from
+    a height >= h (a suffix sum).  With `grow` the list gains height
+    len(src); without it the height cap stays at len(src) - 1."""
+    fall = [*accumulate(reversed(src))]
+    fall.reverse()
+    out = [*map(add, fall, [0, *src])]
+    if grow:
+        out.append(src[-1])
+    return out
+
+
+def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
+    """``dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t))`` for
+    t = 0, 1, ... (0 while t < k), without end; k may be None right to left
+    only.
+
+    Every count is a walk with unit rises and falls of any size.  Right to
+    left that is the path itself, from 0 to k (to any height if k is None).
+    Left to right it is the path read backwards, from k to 0: reversing a
+    path negates and reorders its steps and keeps its heights.  After i
+    steps such a walk is at most start + i high, so bound t cannot bind
+    during the first t - start steps.  One unbounded run advances in
+    lockstep with t, and bound t continues a copy of its state for the
+    remaining steps under cap t; only the current states are kept.
+    """
+    start, end = (k, 0) if orientation is Orientation.L2R else (0, k)
+    yield from repeat(0, k or 0)
+    state, i = [0] * start + [1], 0  # the unbounded run after i steps
+    for t in count(k or 0):
+        while i < min(t - start, n):
+            state, i = _walk_step(state, True), i + 1
+        walk = state
+        for _ in range(n - i):
+            walk = _walk_step(walk, False)
+        if end is None:
+            yield sum(walk)
+        else:
+            yield walk[end] if end < len(walk) else 0

@@ -66,15 +66,18 @@ def _convolve(a: Sequence[Rat], b: Sequence[Rat], m: int) -> list[Rat]:
     return out
 
 
-def _quotient(a: Sequence[Rat], b: Sequence[Rat], m: int) -> list[Rat]:
+def _quotient(
+    a: Sequence[Rat], b: Sequence[Rat], m: int, known: Sequence[Rat] = ()
+) -> list[Rat]:
     """Coefficients 0..m-1 of the series a/b (both zero past their ends,
     b[0] != 0, either may hold Fractions) by b[0] q_n = a_n - sum_j b_j q_(n-j).
     A step whose division by b[0] is exact, as every step is for integer
     operands with b[0] = +-1, yields an int; only an inexact one makes a
-    Fraction."""
+    Fraction.  `known` holds the first coefficients when the caller already
+    has them; the recurrence then starts after them."""
     b0, tail = b[0], _trim(b[1:m])
-    out: list[Rat] = []
-    for n in range(m):
+    out: list[Rat] = list(known[:m])
+    for n in range(len(out), m):
         acc = (a[n] if n < len(a) else 0) - sum(map(mul, tail, reversed(out)))
         q, r = divmod(acc, b0)
         if r:
@@ -376,10 +379,11 @@ class RationalGF:
         self.num = num
         self.den = den
 
-    def expand(self, order: int) -> Series:
+    def expand(self, order: int, known: Sequence[int] = ()) -> Series:
         """Power-series expansion to the given order, by the linear
-        recurrence the denominator induces."""
-        return Series(_quotient(self.num.coeffs, self.den.coeffs, order))
+        recurrence the denominator induces.  `known` may give the first
+        coefficients, when the caller has them from an equal expansion."""
+        return Series(_quotient(self.num.coeffs, self.den.coeffs, order, known))
 
     def coefficients_int(self, order: int) -> list[int]:
         """The expansion's coefficients as ints; raises if one is not."""

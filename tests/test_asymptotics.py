@@ -1,18 +1,26 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lukaspaths.asymptotics import (
     FAMILIES,
+    _family_model,
+    _gf_bounded_counts,
     avg_height,
     sqrt_pi_ratio_profile,
     substitution_check,
 )
-from lukaspaths.bounded import d_poly, n_poly
-from lukaspaths.core import InfiniteFamilyError
+from lukaspaths.bounded import bounded_gf, bounded_gf_sweep, d_poly, n_poly, total_bounded_gf
+from lukaspaths.core import EndKind, InfiniteFamilyError, Orientation, PathQuery, dp_count
+
+#: (family, k) for the four finite families, end heights k <= 5
+FAMILY_GRID = [("return-to-zero", None), ("suffix-any", None)] + [
+    (family, k) for family in ("prefix-at-k", "suffix-at-k") for k in range(6)
+]
 
 
 def test_avg_height_small_exact_values():
@@ -45,15 +53,72 @@ def test_avg_height_routes_agree():
     st.sampled_from(["return-to-zero", "suffix-any", "prefix-at-k", "suffix-at-k"]),
     st.integers(min_value=1, max_value=60),
     st.integers(min_value=0, max_value=5),
+    st.data(),
 )
-def test_avg_height_routes_agree_wide(family, n, k):
+def test_avg_height_routes_agree_wide(family, n, k, data):
     if not family.endswith("-at-k"):
         k = None
+    elif family == "prefix-at-k":  # rises of any size: every k is reachable
+        k = data.draw(st.integers(min_value=0, max_value=n + 3), label="k")
     elif k > n:
         k = n
     gf = avg_height(n, family, k=k, route="gf")
     dp = avg_height(n, family, k=k, route="dp")
     assert gf.mean_height == dp.mean_height
+
+
+def _dp_mean(n, k, orientation):
+    """The mean height from one unbounded and one bounded `dp_count` per t."""
+    total = dp_count(PathQuery(n, k, EndKind.ANY, orientation))
+    excess = sum(
+        total - (dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t)) if t >= k else 0)
+        for t in range(n + k + 1)
+    )
+    return Fraction(excess, total)
+
+
+def test_prefix_at_k_above_the_length():
+    # rises have any size, so prefixes of length n reach every k > n
+    assert avg_height(3, "prefix-at-k", k=7).mean_height == Fraction(65, 9)
+    for n in range(1, 5):
+        for k in range(n + 1, n + 4):
+            want = _dp_mean(n, k, Orientation.L2R)
+            for route in ("gf", "dp"):
+                assert avg_height(n, "prefix-at-k", k=k, route=route).mean_height == want
+    for route in ("gf", "dp"):  # suffixes rise by one: k > n is an empty family
+        with pytest.raises(ValueError, match="exceeds the length"):
+            avg_height(3, "suffix-at-k", k=4, route=route)
+
+
+def test_gf_counts_match_each_bounds_expansion():
+    # one order-31 expansion per bound serves every n <= 30 of that bound
+    for family, k in FAMILY_GRID:
+        end, orientation = _family_model(family, k)
+        reference = []
+        for t in range(30 + (k or 0) + 2):
+            if end is None:
+                reference.append(total_bounded_gf(t, orientation).coefficients_int(31))
+            elif t < end:
+                reference.append([0] * 31)
+            else:
+                reference.append(bounded_gf(t, end, EndKind.ANY, orientation).coefficients_int(31))
+        for n in range(0, 31):
+            stop = n + (k or 0) + 2
+            got = list(islice(_gf_bounded_counts(n, family, k), stop))
+            assert got == [row[n] for row in reference[:stop]], (family, k, n)
+
+
+def test_casoratian_valuation_rises_by_one_per_bound():
+    # W_t = N_t D_(t-1) - N_(t-1) D_t, by direct products of the sweep's GFs
+    for family, k in FAMILY_GRID:
+        end, orientation = _family_model(family, k)
+        gfs = list(islice(bounded_gf_sweep(end, EndKind.ANY, orientation), 21))
+        vals = []
+        for prev, cur in zip(gfs, gfs[1:]):
+            w = (cur.num * prev.den - prev.num * cur.den).coeffs
+            assert any(w), (family, k)
+            vals.append(next(i for i, c in enumerate(w) if c))
+        assert vals == list(range(vals[0], vals[0] + 20)), (family, k, vals)
 
 
 def test_avg_height_infinite_family():

@@ -8,6 +8,7 @@ from lukaspaths.cli import (
     EXIT_DISAGREE,
     EXIT_DOMAIN,
     EXIT_INFINITE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_ORACLE_CAP,
     main,
@@ -183,6 +184,27 @@ def test_height_json(capsys):
     assert all("mean" in st and "ratio" in st for st in record["stats"])
 
 
+@pytest.mark.parametrize("route", ["gf", "dp"])
+def test_height_prefix_at_k_above_the_length(capsys, route):
+    # left-to-right rises have any size: `count --n 3 --k 7` is 54 paths
+    rc, out, _ = run_cli(capsys, "height", "--family", "prefix-at-k", "--k", "7",
+                         "--n-list", "3", "--route", route)
+    assert rc == EXIT_OK
+    assert out.splitlines()[2].startswith("3 65/9 ")
+    rc, out, err = run_cli(capsys, "height", "--family", "suffix-at-k", "--k", "7",
+                           "--n-list", "3", "--route", route)
+    assert rc == EXIT_DOMAIN and out == "" and "exceeds the length" in err
+
+
+def test_unexpected_exception_exits_internal(capsys):
+    # math.comb cannot take a length this large: an OverflowError, not a domain error
+    rc, out, err = run_cli(capsys, "count", "--n", "10000000000000000000000", "--k", "0",
+                           "--engine", "closed")
+    assert rc == EXIT_INTERNAL == 8 and out == ""
+    assert err.startswith("error: internal error: OverflowError")
+    assert len(err.splitlines()) == 1
+
+
 def test_height_infinite_family(capsys):
     rc, _, err = run_cli(capsys, "height", "--family", "prefix-any", "--n-list", "4")
     assert rc == EXIT_INFINITE and "infinite family" in err
@@ -220,8 +242,9 @@ def test_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for code in ("3", "4", "5", "6", "7"):
+    for code in ("3", "4", "5", "6", "7", "8"):
         assert code in out
+    assert "internal error" in out
     assert "LUKAS_ORDER" in out
 
 

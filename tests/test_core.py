@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from lukaspaths.core import (
     Path,
     PathQuery,
     Step,
+    _bound_sweep,
     dp_count,
     enumerate_count,
     enumerate_profile,
@@ -248,6 +249,21 @@ def test_monotone_in_bound():
             cur = dp_count(PathQuery(n, 0, bound=t))
             assert cur >= prev
             prev = cur
+
+
+@pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
+def test_bound_sweep_matches_dp_count_per_bound(orientation):
+    # every bound of the sweep, from t = 0 to one past saturation
+    ends = range(6) if orientation is Orientation.L2R else [None, *range(6)]
+    for k in ends:
+        for n in range(0, 31):
+            stop = n + (k or 0) + 2
+            want = [
+                0 if k is not None and t < k
+                else dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t))
+                for t in range(stop)
+            ]
+            assert list(islice(_bound_sweep(n, k, orientation), stop)) == want, (k, n)
 
 
 @settings(max_examples=40)
