@@ -2,7 +2,9 @@
 
 For a bound t the truncated state diagram yields a 3(t+1) x 3(t+1) linear
 system over Z[z] in the unknowns f_0, g_0, h_0, ..., f_t, g_t, h_t (that row
-order) with right-hand side (-1, 0, ..., 0)^T.  Determinants D_t of the
+order) with right-hand side (-1, 0, ..., 0)^T; state (h, kind) is a path at
+height h whose last step is up (f), down (g) or flat (h), and each row is
+read off the step set of the orientation.  Determinants D_t of the
 coefficient matrix satisfy D_{t+2} = -D_{t+1} - z D_t and equal, up to sign,
 the Fibonacci polynomials; Cramer numerators N_k^t satisfy the same length
 recurrence plus orientation-specific shift rules, which is how `n_poly`
@@ -21,7 +23,6 @@ _ZERO = IntPoly()
 _ONE = IntPoly([1])
 _NEG1 = IntPoly([-1])
 _Z = IntPoly([0, 1])
-_ZM1 = IntPoly([-1, 1])  # z - 1
 _D_ANCHOR = (_NEG1, _ONE)  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
 
 
@@ -38,44 +39,27 @@ class SystemMatrix(NamedTuple):
 
 
 def build_system_matrix(t: int, orientation: Orientation = Orientation.L2R) -> SystemMatrix:
-    """Build the 3(t+1)-dimensional coefficient matrix for bound t.
+    """Build the 3(t+1)-dimensional coefficient matrix for bound t from the
+    step set.
 
-    Left-to-right rows: f_k collects z times every state below level k, g_k
-    references the three states of level k+1, and h_k references level k
-    itself (with z - 1 on its own diagonal slot).  Right-to-left rows swap
-    the roles: f_k references level k-1 and g_k every state above level k.
+    The row of state (h, kind), in the order f (up), g (down), h (flat) per
+    level, holds -1 on its own diagonal and z at all three states of every
+    level h0 from which one step of that kind reaches h.  The step from h0 to
+    h rises by h - h0: at least -1 left to right (a fall of one, a flat step,
+    or a rise of any size), at most 1 right to left (the mirror image).
     """
     if t < 0:
         raise ValueError("bound must be nonnegative")
     size = 3 * (t + 1)
-    l2r = orientation is Orientation.L2R
+    lo, hi = (-1, t) if orientation is Orientation.L2R else (-t, 1)  # one step's rises
     rows = []
-    for k in range(t + 1):
-        f_row = [_ZERO] * size
-        if k == 0:
-            f_row[0] = _NEG1
-        else:
-            if l2r:
-                for col in range(3 * k):
-                    f_row[col] = _Z
-            else:
-                for col in range(3 * (k - 1), 3 * k):
-                    f_row[col] = _Z
-            f_row[3 * k] = _NEG1
-        g_row = [_ZERO] * size
-        g_row[3 * k + 1] = _NEG1
-        if l2r:
-            if k + 1 <= t:
-                for col in range(3 * (k + 1), 3 * (k + 2)):
-                    g_row[col] = _Z
-        else:
-            for col in range(3 * (k + 1), size):
-                g_row[col] = _Z
-        h_row = [_ZERO] * size
-        h_row[3 * k] = _Z
-        h_row[3 * k + 1] = _Z
-        h_row[3 * k + 2] = _ZM1
-        rows.extend([tuple(f_row), tuple(g_row), tuple(h_row)])
+    for h in range(t + 1):
+        for rises in (range(1, hi + 1), range(lo, 0), (0,)):  # up, down, flat
+            row = [_ZERO] * size
+            for h0 in (h - r for r in rises if 0 <= h - r <= t):
+                row[3 * h0 : 3 * h0 + 3] = (_Z, _Z, _Z)
+            row[len(rows)] += _NEG1
+            rows.append(tuple(row))
     return SystemMatrix(t, orientation, tuple(rows))
 
 
@@ -127,7 +111,7 @@ def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """(x_t, x_{t+1}) -> (x_{t+1}, x_{t+2}) under the length recurrence
     x_{t+2} = -x_{t+1} - z x_t, which D_t and every Cramer numerator column
     obey."""
-    return b, -b - _Z * a
+    return b, -b - a.shift_up(1)
 
 
 def _nth(a: IntPoly, b: IntPoly, t: int) -> IntPoly:

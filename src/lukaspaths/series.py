@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import starmap, zip_longest
 from math import comb
-from operator import add, mul
+from operator import add, index, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 #: Default truncation order for generating-function expansions.  Overridable
@@ -267,13 +267,14 @@ class IntPoly:
     """Integer-coefficient polynomial, lowest degree first.
 
     Canonical form: no trailing zero coefficients; the zero polynomial is the
-    empty tuple.
+    empty tuple.  A coefficient that is not an integer, such as a float or a
+    Fraction, raises TypeError rather than being truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _trim(tuple(map(int, coeffs)))
+        self.coeffs = _trim(tuple(map(index, coeffs)))
 
     @property
     def degree(self) -> int:
@@ -302,15 +303,7 @@ class IntPoly:
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return IntPoly(out)
+        return IntPoly(_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -322,30 +315,21 @@ class IntPoly:
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial quotient over Z; raises if the division leaves a
-        remainder or a fractional coefficient."""
+        remainder or a fractional coefficient.
+
+        Reversed, a = q b is the series identity rev(a) = rev(q) rev(b), and
+        rev(b) starts with b's leading coefficient.  So the first m =
+        len(a) - len(b) + 1 coefficients of rev(a)/rev(b) are rev(q), and the
+        division is exact only if each of the len(a) computed is an int and
+        each one past m is zero."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return IntPoly()
-        rem = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        if len(rem) - 1 < dd:
+        a, b = self.coeffs, other.coeffs
+        m = max(len(a) - len(b) + 1, 0)
+        q = _quotient(a[::-1], b[::-1], len(a))
+        if any(type(c) is not int for c in q) or any(q[m:]):
             raise ValueError("inexact polynomial division")
-        q = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            lead = rem[k]
-            if lead == 0:
-                continue
-            if lead % d[dd] != 0:
-                raise ValueError("inexact polynomial division")
-            f = lead // d[dd]
-            q[k - dd] = f
-            for j in range(dd + 1):
-                rem[k - dd + j] -= f * d[j]
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPoly(q)
+        return IntPoly(reversed(q[:m]))
 
     def to_series(self, order: int) -> Series:
         cs = list(self.coeffs[:order])

@@ -147,7 +147,7 @@ def test_n_poly_spec_picks():
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
 def test_n_poly_matches_cramer_determinants(orientation):
-    for t in range(0, 4):
+    for t in range(0, 5):
         for idx in range(1, 3 * (t + 1) + 1):
             assert n_poly(t, idx, orientation) == cramer_n_poly(t, idx, orientation), (
                 t, idx, orientation,

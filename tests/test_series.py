@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lukaspaths.series import (
     IntPoly,
@@ -179,14 +179,50 @@ def test_intpoly_canonical_form():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
     assert IntPoly().degree == -1
+    # coefficients must be integers: nothing is silently truncated
+    with pytest.raises(TypeError):
+        IntPoly([Fraction(1, 2), 3])
+    with pytest.raises(TypeError):
+        IntPoly([1.7])
 
 
-def test_intpoly_exact_div_roundtrip():
-    a = IntPoly([1, -3, 2, 4])
-    b = IntPoly([-1, 2])
+# half the drawn coefficients are 0: zero polynomials, divisors with
+# b(0) = 0 and sparse operands all come up often
+int_polys = st.lists(st.just(0) | st.integers(-(10**12), 10**12), max_size=7).map(IntPoly)
+
+
+def _naive_product(a, b):
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+@given(int_polys, int_polys, int_polys)
+@example(IntPoly([1, -3, 2, 4]), IntPoly([-1, 2]), IntPoly())
+@example(IntPoly(), IntPoly([0, 0, 3]), IntPoly([1, 1]))
+@example(IntPoly([2, -1]), IntPoly([0, 1, -4]), IntPoly([5, -7]))
+def test_intpoly_exact_div_roundtrip(a, b, r):
+    assert a * b == _naive_product(a, b) == b * a
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            (a * b).exact_div(b)
+        return
     assert (a * b).exact_div(b) == a
+    r = IntPoly(r.coeffs[: b.degree])  # a nonzero remainder of lower degree than b
+    if not r.is_zero():
+        with pytest.raises(ValueError, match="inexact"):
+            (a * b + r).exact_div(b)
+
+
+def test_intpoly_exact_div_errors():
     with pytest.raises(ValueError, match="inexact"):
         IntPoly([1, 1]).exact_div(IntPoly([0, 1]))
+    with pytest.raises(ValueError, match="inexact"):
+        IntPoly([1]).exact_div(IntPoly([2]))  # the quotient 1/2 is not integral
+    with pytest.raises(ZeroDivisionError):
+        IntPoly([1]).exact_div(IntPoly())
 
 
 def test_intpoly_evaluation():

@@ -43,3 +43,22 @@ def test_selftest_runs_the_traced_oracle_and_dp():
                  "engines.cross_engine_grid"):
         assert record["stats"][name][0] > 0, name
     assert record["counts"]["core.oracle.paths"] > 0
+
+
+def test_height_gf_route_runs_the_traced_polynomial_kernels():
+    """The benchmark's `height` workload must keep reaching `IntPoly.__mul__`
+    (now only through the Casoratian product of the gf route), the Cramer
+    numerators and the rational expansion; a route that bypasses them would
+    zero those per-layer metrics without an error."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["height", "--family", "prefix-at-k", "--k", "3", "--n-list", "12", "--route", "gf"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0][len(MARKER):])
+    for name in ("series.IntPoly.mul", "bounded.n_poly", "series.RationalGF.expand"):
+        assert record["stats"][name][0] > 0, name
