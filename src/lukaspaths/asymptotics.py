@@ -1,22 +1,19 @@
 """Average height of the path families, exactly, and the substitution
 identities that underpin the sqrt(pi n) asymptotics.
 
-For a family with c_t(n) members of height at most t out of `total` members,
-the mean height is sum_{t >= 0} (total - c_t(n)) / total, a finite sum since
-c_t saturates once t reaches the family's maximum possible height.  Means are
+For a family with c_t(n) members of height at most t, the mean height is
+sum_{t >= 0} (c_T(n) - c_t(n)) / c_T(n) for any T at or above the family's
+highest member, so each route's own c_T(n) is the family's size.  Means are
 exact rationals; only the ratio against sqrt(pi n) is floated.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .bounded import bounded_gf_sweep, d_poly, n_poly
 from .core import FAMILIES, EndKind, InfiniteFamilyError, Orientation, _bound_sweep
-from .counts import prefix_count, suffix_count
-from .series import catalan
 
 
 class HeightStats(NamedTuple):
@@ -42,15 +39,6 @@ def _family_model(family: str, k: Optional[int]) -> tuple[Optional[int], Orienta
     return None, Orientation.R2L
 
 
-def _family_total(n: int, family: str, k: Optional[int]) -> int:
-    """The family's size at length n: the unbounded count of its model."""
-    end, orientation = _family_model(family, k)
-    if end is None:  # right-to-left paths of length n, any end height
-        return catalan(n + 1)
-    count = prefix_count if orientation is Orientation.L2R else suffix_count
-    return count(n, end, EndKind.ANY)
-
-
 def _gf_bounded_counts(n: int, family: str, k: Optional[int]) -> Iterator[int]:
     """c_t(n) for t = 0, 1, ...: zero below the end height, then the n-th
     coefficient of each bound's generating function, swept up in t.
@@ -60,6 +48,8 @@ def _gf_bounded_counts(n: int, family: str, k: Optional[int]) -> Iterator[int]:
     D_t(0) = +-1 the difference N_t/D_t - N_(t-1)/D_(t-1) = W_t/(D_t D_(t-1))
     starts at z^val(W_t).  Each expansion therefore reuses the previous one
     below that power and runs the quotient recurrence only above it."""
+    from .bounded import bounded_gf_sweep
+
     end, orientation = _family_model(family, k)
     yield from repeat(0, k or 0)
     gfs = bounded_gf_sweep(end, EndKind.ANY, orientation)
@@ -83,7 +73,9 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     only from the first power where it differs from the bound before; "dp"
     advances one unbounded dynamic program in lockstep with t and finishes
     each bound from a copy of its state.  Both are exact and independent of
-    each other; they cross-check each other in the tests.  `k` is the end
+    each other and of the closed forms: each takes the family's size from
+    its own count at t = n + k.  They cross-check each other in the tests,
+    and the closed forms check those sizes there.  `k` is the end
     height of the *-at-k families and is rejected for the others; a
     suffix-at-k family with k > n is empty and rejected too.
     """
@@ -105,29 +97,15 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     if route not in ("gf", "dp"):
         raise ValueError("route must be 'gf' or 'dp'")
 
-    total = _family_total(n, family, k)
-    t_stop = n + (k or 0) + 1
-    if route == "gf":
-        counts = _gf_bounded_counts(n, family, k)
-    else:
-        counts = _bound_sweep(n, *_family_model(family, k))
-    excess = 0  # sum over t of (total - c_t)
-    for _, c_t in zip(range(t_stop + 1), counts):
-        if c_t == total:
-            break
-        excess += total - c_t
-    else:
-        raise AssertionError("bounded counts failed to saturate")
-    mean = Fraction(excess, total)
+    counts = (_gf_bounded_counts(n, family, k) if route == "gf"
+              else _bound_sweep(n, *_family_model(family, k)))
+    # No member is higher than n + k: right to left every rise is a unit
+    # step, and left to right every height above k costs a unit fall.
+    c = [*islice(counts, n + (k or 0) + 1)]
+    mean = Fraction(sum(c[-1] - c_t for c_t in c), c[-1])
     spn = math.sqrt(math.pi * n)
-    return HeightStats(
-        n=n,
-        family=family,
-        k=k,
-        mean_height=mean,
-        sqrt_pi_n=spn,
-        ratio=float(mean) / spn,
-    )
+    return HeightStats(n=n, family=family, k=k, mean_height=mean, sqrt_pi_n=spn,
+                       ratio=float(mean) / spn)
 
 
 def sqrt_pi_ratio_profile(
@@ -154,6 +132,8 @@ def substitution_check(t: int, u: Fraction) -> bool:
     u = Fraction(u)
     if u == 1 or u == -1:
         raise ValueError("u = +-1 is excluded (closed forms degenerate)")
+    from .bounded import d_poly, n_poly
+
     z = u / (1 + u) ** 2
     lhs_d = d_poly(t)(z)
     lhs_n2 = n_poly(t, 2, Orientation.L2R)(z)

@@ -207,10 +207,9 @@ def _series_values(fields: dict, total: bool, order: int) -> list[int]:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    order = args.order if args.order is not None else _default_order()
     fields = _query_fields(args)
-    values = _series_values(fields, args.total, order)
-    meta = {"engines": ["gf"], "oracle_cap": None, "order": order, "precision": None}
+    values = _series_values(fields, args.total, args.order)
+    meta = {"engines": ["gf"], "oracle_cap": None, "order": args.order, "precision": None}
     _emit_record(
         _query_echo(fields, total=args.total),
         "gf",
@@ -229,9 +228,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from .engines import compare_bfile, read_bfile
 
-    order = args.order if args.order is not None else _default_order()
     bfile = read_bfile(args.bfile)
-    values = _series_values(_query_fields(args), args.total, order)
+    values = _series_values(_query_fields(args), args.total, args.order)
     ncomp, mismatches = compare_bfile(bfile, values, shift=args.shift, start=args.start)
     for i, got, want in mismatches:
         print(f"index {i}: computed {got} != fixture {want}")
@@ -376,8 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Every input, LUKAS_ORDER included, is parsed under the interpreter's
+    # limit on integer string digits (Python 3.11, 3.10.7+); the limit is
+    # then lifted, so an answer of any length prints.
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "order", 0) is None:
+        args.order = _default_order()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InfiniteFamilyError as exc:
@@ -395,6 +401,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

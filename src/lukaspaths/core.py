@@ -6,8 +6,8 @@ with r >= -1: up-steps of any positive rise, flat steps, and unit down-steps.
 The right-to-left (suffix) model mirrors the step set: rises are at most +1
 and falls may have any size.  An "alternate" path never takes two consecutive
 steps of the same direction class (up/flat/down), whatever the rise sizes.
-
-All counts are exact Python ints.
+The DP counts both as one walk with the suffix step set: a suffix as it is,
+a prefix read backwards.  All counts are exact Python ints.
 """
 from __future__ import annotations
 
@@ -319,65 +319,88 @@ def enumerate_profile(
     return _census(n, orientation, alternate)
 
 
-def dp_count(query: PathQuery) -> int:
-    """Dynamic-programming counter over (height, last-step class).
+#: Which of `_kind_step`'s (rise, flat, fall) lists holds a path's last step
+#: of each kind: the walk's last step right to left, its first step, with up
+#: and down swapped, left to right.
+_WALK_KIND = {
+    Orientation.R2L: {EndKind.UP: 0, EndKind.FLAT: 1, EndKind.DOWN: 2},
+    Orientation.L2R: {EndKind.UP: 2, EndKind.FLAT: 1, EndKind.DOWN: 0},
+}
 
-    After i steps, three lists indexed by height count the paths by the kind
-    of their last step, over heights 0..c_i.  The cap c_i is the bound, and
-    also k + n - i left to right with a fixed end height k (higher paths can
-    no longer come down to k) and i right to left (rises are unit steps).
-    Each step is whole-list prefix or suffix sums, so it costs O(c_i)
-    big-integer additions.
+
+def dp_count(query: PathQuery) -> int:
+    """Dynamic-programming counter: one walk with unit rises and falls of any
+    size, its counts listed by height from the top down.
+
+    Right to left the walk is the path itself, from 0 to k (to any height if
+    k is None).  Left to right it is the path read backwards, from k (from
+    every height up to the bound if k is None) to 0: reversing a path
+    negates and reorders its steps and keeps its heights, so the floor and
+    the bound still hold.  The lists grow by one height per step until they
+    reach the bound, and a step is one running sum (`_walk_step`).  When a
+    kind is asked for, the step that is the path's last is split by kind
+    (`_kind_step`); an alternate walk splits every step and feeds each kind
+    from the other two.
     """
     if query.is_infinite():
         raise InfiniteFamilyError("infinite family: unbounded l2r query with no end height")
-    n, k = query.n, query.k
+    n, k, bound, alternate = query.n, query.k, query.bound, query.alternate
     if n == 0:
         return 1 if query.kind is EndKind.ANY and k in (0, None) else 0
-    l2r = query.orientation is Orientation.L2R
-    # No path needs a height above n + k (left to right, fixed k) or n
-    # (right to left); is_infinite() rules out both the bound and k missing.
-    reach = n if not l2r else None if k is None else n + k
-    top = min(h for h in (query.bound, reach) if h is not None)
-    # Source lists carry one zero past the cap, so every slice below has
-    # length c + 1.  The empty path at height 0 is the source of every kind
-    # of first step.
-    src_up = src_flat = src_down = [1] + [0] * (top + 1)
+    if query.orientation is Orientation.R2L:
+        walk, end, last = [1], k, n
+    else:
+        walk, end, last = [1] * (bound + 1) if k is None else [1] + [0] * k, 0, 1
+    asked = _WALK_KIND[query.orientation].get(query.kind)  # None: any kind
+    width, sources = len(walk), (walk, walk, walk)
     for i in range(1, n + 1):
-        if l2r:  # up from any lower height, down by one from h + 1
-            c = top if k is None else min(top, k + n - i)
-            up = list(accumulate(src_up[:c], initial=0))
-            down = src_down[1 : c + 2]
-        else:  # up by one from h - 1, down from any higher height
-            c = min(top, i)
-            up = [0, *src_up[:c]]
-            down = list(accumulate(src_down[c:0:-1], initial=0))[::-1]
-        flat = src_flat[: c + 1]
-        if query.alternate:
-            src_up = [*map(add, flat, down), 0]
-            src_flat = [*map(add, up, down), 0]
-            src_down = [*map(add, up, flat), 0]
-        else:
-            src_up = src_flat = src_down = [*map(add, map(add, up, flat), down), 0]
-
-    by_kind = dict(zip(STEP_KINDS, (up, flat, down)))
-    ends = by_kind.values() if query.kind is EndKind.ANY else [by_kind[query.kind]]
-    if k is None:
-        return sum(map(sum, ends))
-    return sum(end[k] for end in ends) if k <= c else 0
+        grow = bound is None or width <= bound
+        width += grow
+        ask = asked if i == last else None
+        if not alternate:
+            walk = _walk_step(walk, grow) if ask is None else _kind_step(walk, walk, walk, grow)[ask]
+            continue
+        kinds = _kind_step(*sources, grow)
+        if ask is not None:  # keep the asked kind only
+            kinds = [lst if j == ask else [0] * width for j, lst in enumerate(kinds)]
+        rise, flat, fall = kinds
+        sources = [*map(add, flat, fall)], [*map(add, rise, fall)], [*map(add, rise, flat)]
+    if alternate:  # rise + (flat + fall)
+        walk = [*map(add, rise, sources[0])]
+    return _walk_end(walk, end)
 
 
-def _walk_step(src: list[int], grow: bool) -> list[int]:
-    """One step of the walk with unit rises and falls of any size: the new
-    count at h is the rise from h - 1 plus the flat step and every fall from
-    a height >= h (a suffix sum).  With `grow` the list gains height
-    len(src); without it the height cap stays at len(src) - 1."""
-    fall = [*accumulate(reversed(src))]
-    fall.reverse()
-    out = [*map(add, fall, [0, *src])]
-    if grow:
-        out.append(src[-1])
+def _walk_step(top_down: list[int], grow: bool) -> list[int]:
+    """One step of the walk on counts listed from the top height down: the
+    new count at h sums the old counts at heights >= h - 1 (a unit rise, the
+    flat step and every fall), a running sum.  With `grow` the list gains a
+    height on top; without it the height cap stays."""
+    out = [*accumulate(top_down)]
+    out.append(out[-1])
+    if not grow:
+        del out[0]
     return out
+
+
+def _kind_step(rise_src: list[int], flat_src: list[int], fall_src: list[int],
+               grow: bool) -> tuple[list[int], list[int], list[int]]:
+    """`_walk_step` split by the kind of the step, each kind from its own
+    source: the rise lifts its source one height, the flat step copies it,
+    and the fall to h sums its source strictly above h."""
+    rise = [*rise_src, 0]
+    flat = [0, *flat_src]
+    fall = [0, 0, *accumulate(fall_src)]
+    fall.pop()
+    if not grow:
+        del rise[0], flat[0], fall[0]
+    return rise, flat, fall
+
+
+def _walk_end(walk: list[int], end: Optional[int]) -> int:
+    """The walk's count at height `end`, or its total if `end` is None."""
+    if end is None:
+        return sum(walk)
+    return walk[-1 - end] if end < len(walk) else 0
 
 
 def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
@@ -385,25 +408,19 @@ def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator
     t = 0, 1, ... (0 while t < k), without end; k may be None right to left
     only.
 
-    Every count is a walk with unit rises and falls of any size.  Right to
-    left that is the path itself, from 0 to k (to any height if k is None).
-    Left to right it is the path read backwards, from k to 0: reversing a
-    path negates and reorders its steps and keeps its heights.  After i
-    steps such a walk is at most start + i high, so bound t cannot bind
-    during the first t - start steps.  One unbounded run advances in
-    lockstep with t, and bound t continues a copy of its state for the
-    remaining steps under cap t; only the current states are kept.
+    This is `dp_count`'s walk, from `start` to `end`.  After i steps it is
+    at most start + i high, so bound t cannot bind during the first
+    t - start steps.  One unbounded run advances in lockstep with t, and
+    bound t continues a copy of its state for the remaining steps under cap
+    t; only the current states are kept.
     """
     start, end = (k, 0) if orientation is Orientation.L2R else (0, k)
     yield from repeat(0, k or 0)
-    state, i = [0] * start + [1], 0  # the unbounded run after i steps
+    state, i = [1] + [0] * start, 0  # the unbounded run after i steps
     for t in count(k or 0):
         while i < min(t - start, n):
             state, i = _walk_step(state, True), i + 1
         walk = state
         for _ in range(n - i):
             walk = _walk_step(walk, False)
-        if end is None:
-            yield sum(walk)
-        else:
-            yield walk[end] if end < len(walk) else 0
+        yield _walk_end(walk, end)

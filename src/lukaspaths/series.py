@@ -303,6 +303,8 @@ class IntPoly:
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly()
         return IntPoly(_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__

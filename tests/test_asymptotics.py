@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +19,18 @@ from lukaspaths.asymptotics import (
     substitution_check,
 )
 from lukaspaths.bounded import bounded_gf, bounded_gf_sweep, d_poly, n_poly, total_bounded_gf
-from lukaspaths.core import EndKind, InfiniteFamilyError, Orientation, PathQuery, dp_count
+from lukaspaths.core import (
+    EndKind,
+    InfiniteFamilyError,
+    Orientation,
+    PathQuery,
+    _bound_sweep,
+    dp_count,
+)
+from lukaspaths.counts import prefix_count, suffix_count
+from lukaspaths.series import catalan
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: (family, k) for the four finite families, end heights k <= 5
 FAMILY_GRID = [("return-to-zero", None), ("suffix-any", None)] + [
@@ -68,13 +83,56 @@ def test_avg_height_routes_agree_wide(family, n, k, data):
 
 
 def _dp_mean(n, k, orientation):
-    """The mean height from one unbounded and one bounded `dp_count` per t."""
+    """The mean height from one unbounded and one bounded `dp_count` per t;
+    k is None for right-to-left paths with any end height."""
     total = dp_count(PathQuery(n, k, EndKind.ANY, orientation))
+    low = k or 0
     excess = sum(
-        total - (dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t)) if t >= k else 0)
-        for t in range(n + k + 1)
+        total - (dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t)) if t >= low else 0)
+        for t in range(n + low + 1)
     )
     return Fraction(excess, total)
+
+
+#: FAMILY_GRID's families with end heights k <= 3
+SMALL_K = [(family, k) for family, k in FAMILY_GRID if (k or 0) <= 3]
+
+
+@pytest.mark.parametrize("route, blocked", [
+    ("dp", ["lukaspaths.counts", "lukaspaths.series", "lukaspaths.bounded"]),
+    ("gf", ["lukaspaths.counts"]),
+], ids=["dp", "gf"])
+def test_each_route_counts_its_own_family(route, blocked):
+    """With the closed forms unimportable, and for the dp route all series
+    code too, each route still gives the exact means at n = 40."""
+    code = (
+        "import sys\n"
+        f"sys.modules.update(dict.fromkeys({blocked!r}))\n"
+        "from lukaspaths.asymptotics import avg_height\n"
+        f"for family, k in {SMALL_K!r}:\n"
+        f"    print(avg_height(40, family, k=k, route={route!r}).mean_height)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = [str(_dp_mean(40, *_family_model(family, k))) for family, k in SMALL_K]
+    assert proc.stdout.split() == want
+
+
+def test_each_routes_family_size_is_the_closed_form():
+    """c_(n+k)(n), the count at a height no member exceeds, is the family's
+    size by either route; the closed forms check it here."""
+    for family, k in SMALL_K:
+        end, orientation = _family_model(family, k)
+        for n in range(1, 41):
+            if end is None:
+                want = catalan(n + 1)
+            else:
+                count = prefix_count if orientation is Orientation.L2R else suffix_count
+                want = count(n, end, EndKind.ANY)
+            for counts in (_gf_bounded_counts(n, family, k), _bound_sweep(n, end, orientation)):
+                assert next(islice(counts, n + (k or 0), None)) == want, (family, k, n)
 
 
 def test_prefix_at_k_above_the_length():

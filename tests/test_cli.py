@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from lukaspaths.cli import (
     main,
 )
 from lukaspaths.engines import bundled_bfile
+from lukaspaths.series import catalan
 
 
 def run_cli(capsys, *argv):
@@ -268,7 +270,7 @@ def test_height_rejects_empty_n_list(capsys, n_list, fmt):
     assert out == "" and "--n-list" in err
 
 
-@pytest.mark.parametrize("value", ["x", "0"])
+@pytest.mark.parametrize("value", ["x", "0", "9" * 5000], ids=["x", "0", "5000-digits"])
 def test_invalid_order_env_is_a_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("LUKAS_ORDER", value)
     with pytest.raises(SystemExit) as exc:
@@ -337,3 +339,26 @@ def test_zero_oracle_cap_skips_the_oracle(capsys):
                          "--format", "json")
     assert rc == EXIT_OK
     assert json.loads(out)["meta"]["engines"] == ["dp", "closed", "gf"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answers_past_the_digit_limit_print(capsys, fmt):
+    # catalan(8000) has 4811 digits, past the interpreter's default limit of
+    # 4300 for int-to-str conversion; main lifts it only while it runs
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run_cli(capsys, "count", "--n", "8000", "--k", "0", "--engine", "closed",
+                           "--format", fmt)
+    assert (rc, err) == (EXIT_OK, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(catalan(8000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 4811
+    assert (json.loads(out)["values"] if fmt == "json" else out.split()) == [want]
+
+
+def test_an_argument_past_the_digit_limit_is_a_usage_error(capsys):
+    assert_usage_error(capsys, ("count", "--n", "9" * 5000, "--k", "0"),
+                       "argument --n: invalid int value")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lukaspaths.alternate import alt_series
-from lukaspaths.bounded import bounded_gf
+from lukaspaths.bounded import bounded_gf, total_bounded_gf
 from lukaspaths.core import (
     EndKind,
     InfiniteFamilyError,
@@ -213,13 +213,14 @@ def test_bound_saturation():
                 assert dp_count(q) == free, q
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=130, deadline=None)
 @given(data=st.data())
 def test_dp_agrees_with_the_other_engines_past_the_grid(data):
     """Unbounded counts against the closed forms (n <= 300), bounded counts
-    against the bounded generating functions (n <= 60), and unbounded
-    alternate left-to-right counts against the alternate series (n <= 60)."""
-    route = data.draw(st.sampled_from(["closed", "bounded", "alternate"]))
+    and bounded totals over end heights against the bounded generating
+    functions (n <= 60), and unbounded alternate left-to-right counts against
+    the alternate series (n <= 60)."""
+    route = data.draw(st.sampled_from(["closed", "bounded", "total", "alternate"]))
     n = data.draw(st.integers(1, 300 if route == "closed" else 60), label="n")
     k = data.draw(st.integers(0, 12), label="k")
     kind = data.draw(st.sampled_from(KINDS), label="kind")
@@ -232,6 +233,10 @@ def test_dp_agrees_with_the_other_engines_past_the_grid(data):
     elif route == "bounded":
         bound = data.draw(st.integers(k, k + 12), label="bound")
         want = bounded_gf(bound, k, kind, orientation).coefficients_int(n + 1)[n]
+    elif route == "total":  # left to right the DP starts from every height
+        k, kind = None, EndKind.ANY
+        bound = data.draw(st.integers(0, 12), label="bound")
+        want = total_bounded_gf(bound, orientation).coefficients_int(n + 1)[n]
     else:
         want = alt_series(k, kind, n + 1)[n]
     assert dp_count(PathQuery(n, k, kind, orientation, bound, route == "alternate")) == want

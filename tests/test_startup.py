@@ -56,10 +56,17 @@ def test_count_and_series_skip_the_heavy_modules(argv):
     assert not loaded & unwanted
 
 
-def test_height_skips_the_engines():
-    loaded = _modules_after(["height", "--family", "return-to-zero", "--n-list", "5"])
+@pytest.mark.parametrize("route", ["dp", "gf"])
+def test_height_skips_the_engines(route):
+    """Each route counts the family's members itself: the dp route loads no
+    series code, and neither route loads the closed forms."""
+    loaded = _modules_after(["height", "--family", "return-to-zero", "--n-list", "5",
+                             "--route", route])
     assert "lukaspaths.asymptotics" in loaded
-    assert not loaded & {"lukaspaths.engines", "lukaspaths.alternate"}
+    unwanted = {"lukaspaths.engines", "lukaspaths.alternate", "lukaspaths.counts"}
+    if route == "dp":
+        unwanted |= {"lukaspaths.bounded", "lukaspaths.series"}
+    assert not loaded & unwanted
 
 
 def test_package_exports_are_unchanged_and_resolve():
