@@ -12,12 +12,15 @@ here by exact-rational bisection.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 import math
 from typing import NamedTuple
 
 from .core import EndKind, Orientation, PathQuery, dp_count
 from .series import DEFAULT_ORDER, IntPoly, Series
+
+# Only the bisection below works in rationals, so `dominant_root` and
+# `alt_asymptotic` import `fractions` themselves and alternate `count` and
+# `series` jobs never load it; the `Fraction` annotations are never evaluated.
 
 #: Margin of extra working coefficients so shifts and divisions inside the
 #: closed forms never eat into the requested order.
@@ -29,8 +32,6 @@ _SEXTIC = IntPoly([1, 0, -4, -4, -4, 0, 4])
 _ONE_MINUS_2Z3 = IntPoly([1, 0, 0, -2])
 _TWO_PLUS_2Z2 = IntPoly([2, 0, 2])
 _ONE_PLUS_Z2 = IntPoly([1, 0, 1])
-
-DEFAULT_ROOT_TOLERANCE = Fraction(1, 10**64)
 
 
 def s1_series(order: int = DEFAULT_ORDER) -> Series:
@@ -108,15 +109,17 @@ class SexticRoot(NamedTuple):
         return float(self.value)
 
 
-def dominant_root(tolerance: Fraction | float = DEFAULT_ROOT_TOLERANCE) -> SexticRoot:
+def dominant_root(tolerance: Fraction | float | None = None) -> SexticRoot:
     """Locate the root in (0, 1/2) by bisection in exact rational arithmetic
-    until the enclosure is narrower than `tolerance`.
+    until the enclosure is narrower than `tolerance` (None: 10^-64).
 
     p(0) = 1 > 0 and p(1/2) < 0 guarantee the sign change; the other factor
     of the sextic, 2z^3 + 2z^2 + 2z + 1, has no positive roots, so this is the
     smallest positive real root overall.
     """
-    tol = Fraction(tolerance) if not isinstance(tolerance, Fraction) else tolerance
+    from fractions import Fraction
+
+    tol = Fraction(1, 10**64) if tolerance is None else Fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi = Fraction(0), Fraction(1, 2)
@@ -154,6 +157,8 @@ def alt_asymptotic(n: int, root: SexticRoot | None = None) -> float:
     if n < 1:
         raise ValueError("length must be positive")
     if root is None:
+        from fractions import Fraction
+
         root = dominant_root(Fraction(1, 10**30))
     a = float(root.value)
     prefactor = (

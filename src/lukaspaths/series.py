@@ -1,31 +1,24 @@
-"""Exact arithmetic kernels: truncated power series over Q, integer
-polynomials, and rational generating functions.
+"""Exact arithmetic kernels over Z: truncated power series, polynomials, and
+rational generating functions.
 
-Everything is exact.  A series stores one tuple of coefficients: Python ints,
-with a Fraction only where a coefficient is not integral.  Every series the
-library builds has integer coefficients, so its arithmetic is plain integer
-arithmetic and `fractions` is imported only when a step leaves the integers.
-Polynomial coefficients are Python ints, and any value that leaves the
-library as a path count is asserted to be a nonnegative integer at the
-boundary.
+Every coefficient is a Python int.  The library counts paths, so every series
+it builds has integer coefficients, and the kernels keep it that way: a float
+or rational coefficient raises TypeError, and a division whose quotient is not
+integral raises ValueError rather than leaving the integers.  Any value that
+leaves the library as a path count is asserted to be a nonnegative integer at
+the boundary.
 """
 from __future__ import annotations
 
 from itertools import starmap, zip_longest
 from math import comb
 from operator import add, index, mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 #: Default truncation order for generating-function expansions.  Overridable
 #: per call and, on the command line, through the LUKAS_ORDER environment
 #: variable.
 DEFAULT_ORDER = 64
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-    from typing import Union
-
-    Rat = Union[int, Fraction]
 
 
 def binom(a: int, b: int) -> int:
@@ -44,7 +37,7 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _trim(c: Sequence[Rat]) -> Sequence[Rat]:
+def _trim(c: Sequence[int]) -> Sequence[int]:
     """`c` without its trailing zeros."""
     n = len(c)
     while n and not c[n - 1]:
@@ -52,7 +45,7 @@ def _trim(c: Sequence[Rat]) -> Sequence[Rat]:
     return c[:n]
 
 
-def _convolve(a: Sequence[Rat], b: Sequence[Rat], m: int) -> list[Rat]:
+def _convolve(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     """Coefficients 0..m-1 of a*b, each one C-level dot product against the
     shorter operand reversed, so a product with z or 1 + z^2 costs O(m)."""
     a, b = _trim(a[:m]), _trim(b[:m])
@@ -67,54 +60,47 @@ def _convolve(a: Sequence[Rat], b: Sequence[Rat], m: int) -> list[Rat]:
 
 
 def _quotient(
-    a: Sequence[Rat], b: Sequence[Rat], m: int, known: Sequence[Rat] = ()
-) -> list[Rat]:
+    a: Sequence[int], b: Sequence[int], m: int, known: Sequence[int] = ()
+) -> list[int]:
     """Coefficients 0..m-1 of the series a/b (both zero past their ends,
-    b[0] != 0, either may hold Fractions) by b[0] q_n = a_n - sum_j b_j q_(n-j).
-    A step whose division by b[0] is exact, as every step is for integer
-    operands with b[0] = +-1, yields an int; only an inexact one makes a
-    Fraction.  `known` holds the first coefficients when the caller already
+    b[0] != 0) by b[0] q_n = a_n - sum_j b_j q_(n-j).  Every division by b[0]
+    must be exact, as it always is for b[0] = +-1; a remainder raises
+    ValueError.  `known` holds the first coefficients when the caller already
     has them; the recurrence then starts after them."""
     b0, tail = b[0], _trim(b[1:m])
-    out: list[Rat] = list(known[:m])
+    out = list(known[:m])
     for n in range(len(out), m):
-        acc = (a[n] if n < len(a) else 0) - sum(map(mul, tail, reversed(out)))
-        q, r = divmod(acc, b0)
+        q, r = divmod((a[n] if n < len(a) else 0) - sum(map(mul, tail, reversed(out))), b0)
         if r:
-            from fractions import Fraction
-
-            q = Fraction(acc, b0)
+            raise ValueError(f"inexact division: quotient coefficient {n} is not an integer")
         out.append(q)
     return out
 
 
 class Series:
-    """Truncated formal power series with exact rational coefficients.
+    """Truncated formal power series with integer coefficients.
 
     A series knows its coefficients for z^0 .. z^(order-1) and nothing beyond;
     binary operations truncate to the shorter operand, so results never claim
     coefficients that were not actually determined.
 
-    `coeffs` holds every coefficient as an int, or as a Fraction where it is
-    not integral.
+    `coeffs` is a tuple of ints.  A coefficient that is not an integer, such
+    as a float or a rational, raises TypeError; a division whose quotient is
+    not integral raises ValueError.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rat]):
-        cs = tuple(coeffs)
+    def __init__(self, coeffs: Iterable[int]):
+        cs = tuple(map(index, coeffs))
         if not cs:
             raise ValueError("a series needs at least its constant term")
-        if not all(type(c) is int for c in cs):
-            from fractions import Fraction
-
-            cs = tuple(f.numerator if f.denominator == 1 else f for f in map(Fraction, cs))
         self.coeffs = cs
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: Rat, order: int) -> "Series":
+    def constant(cls, value: int, order: int) -> "Series":
         return cls([value] + [0] * (order - 1))
 
     @classmethod
@@ -137,7 +123,7 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> Rat:
+    def __getitem__(self, n: int) -> int:
         if not 0 <= n < len(self.coeffs):
             raise IndexError(f"coefficient {n} unknown at truncation order {self.order}")
         return self.coeffs[n]
@@ -155,10 +141,7 @@ class Series:
         return self.order
 
     def integer_coefficients(self) -> list[int]:
-        """Coefficients as ints; raises if any is not an integer."""
-        for i, c in enumerate(self.coeffs):
-            if type(c) is not int:
-                raise ValueError(f"coefficient {i} = {c} is not an integer")
+        """The coefficients as a list of ints."""
         return list(self.coeffs)
 
     # -- ring operations ---------------------------------------------------
@@ -220,7 +203,9 @@ class Series:
 
         Each round s -> (s + a/s)/2 doubles the number of correct
         coefficients, starting from s = 1.  When the root is integral, as the
-        alternate-path kernel root is, so is every iterate.
+        alternate-path kernel root is, so is every iterate.  When it is not,
+        the halving in the round that reaches its first non-integral
+        coefficient is inexact and raises ValueError.
         """
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
@@ -268,7 +253,7 @@ class IntPoly:
 
     Canonical form: no trailing zero coefficients; the zero polynomial is the
     empty tuple.  A coefficient that is not an integer, such as a float or a
-    Fraction, raises TypeError rather than being truncated.
+    rational, raises TypeError rather than being truncated.
     """
 
     __slots__ = ("coeffs",)
@@ -284,8 +269,10 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x: Rat) -> Rat:
-        acc: Rat = 0
+    def __call__(self, x: Any) -> Any:
+        """The value at x by Horner's rule: an int at an int, an exact
+        rational at a rational point."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -316,20 +303,22 @@ class IntPoly:
         return IntPoly([0] * j + list(self.coeffs))
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact polynomial quotient over Z; raises if the division leaves a
-        remainder or a fractional coefficient.
+        """Exact polynomial quotient over Z; raises ValueError if the division
+        leaves a remainder or a fractional coefficient.
 
         Reversed, a = q b is the series identity rev(a) = rev(q) rev(b), and
         rev(b) starts with b's leading coefficient.  So the first m =
         len(a) - len(b) + 1 coefficients of rev(a)/rev(b) are rev(q), and the
-        division is exact only if each of the len(a) computed is an int and
-        each one past m is zero."""
+        division is exact only if `_quotient` finds each of the len(a) an
+        integer and each one past m is zero."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        if self.is_zero():
+            return self
         a, b = self.coeffs, other.coeffs
         m = max(len(a) - len(b) + 1, 0)
         q = _quotient(a[::-1], b[::-1], len(a))
-        if any(type(c) is not int for c in q) or any(q[m:]):
+        if any(q[m:]):
             raise ValueError("inexact polynomial division")
         return IntPoly(reversed(q[:m]))
 
@@ -372,7 +361,7 @@ class RationalGF:
         return Series(_quotient(self.num.coeffs, self.den.coeffs, order, known))
 
     def coefficients_int(self, order: int) -> list[int]:
-        """The expansion's coefficients as ints; raises if one is not."""
+        """The expansion's coefficients as a list of ints."""
         return self.expand(order).integer_coefficients()
 
     def __eq__(self, other) -> bool:

@@ -56,6 +56,14 @@ def test_count_and_series_skip_the_heavy_modules(argv):
     assert not loaded & unwanted
 
 
+def test_alternate_series_skip_fractions():
+    """Only the root bisection works in rationals; the alternate series are
+    integer series like every other."""
+    loaded = _modules_after(["series", "--k", "2", "--order", "8", "--alternate"])
+    assert "lukaspaths.alternate" in loaded
+    assert "fractions" not in loaded
+
+
 @pytest.mark.parametrize("route", ["dp", "gf"])
 def test_height_skips_the_engines(route):
     """Each route counts the family's members itself: the dp route loads no
