@@ -1,0 +1,66 @@
+"""The arithmetic of tools/bench_pairs.py: quartiles, wins and the rules
+for a resolved gain and a bounded regression."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_interpolate_between_sorted_values():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    # positions 0.75, 1.5 and 2.25 of the sorted values 1, 2, 4, 8
+    assert bench_pairs.quartiles([8.0, 1.0, 4.0, 2.0]) == (1.75, 3.0, 5.0)
+
+
+def test_a_lower_is_better_gain_over_ten_pairs():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [p - 0.10 for p in parent]
+    change[3] = parent[3]  # a tie counts for neither side
+    r = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert (r["wins"], r["losses"], r["pairs"]) == (9, 0, 10)
+    assert r["parent"]["median"] == pytest.approx(1.0)
+    # positions 2.25 and 6.75 of the sorted parent runs: 0.9825 and 1.0175
+    assert r["parent"]["q3"] - r["parent"]["q1"] == pytest.approx(0.035)
+    assert r["relative_change"] == pytest.approx(-0.1)
+    assert r["gain_resolved"] and r["within_bound"]
+
+
+def test_eight_wins_in_ten_resolve_no_gain():
+    parent = [1.0] * 10
+    change = [0.5] * 8 + [1.5] * 2
+    r = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert (r["wins"], r["losses"]) == (8, 2)
+    assert not r["gain_resolved"]
+
+
+def test_a_gain_inside_the_parent_spread_is_not_resolved():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [p - 0.5 for p in parent]
+    r = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert r["wins"] == 5 and not r["gain_resolved"]  # 0.5 < IQR 2.0
+
+
+def test_higher_is_better_and_the_regression_bound():
+    parent = [10.0, 10.0, 10.0]
+    r = bench_pairs.compare(parent, [9.0, 9.0, 9.0], "higher", 0.05)
+    assert (r["wins"], r["losses"]) == (0, 3)
+    assert not r["within_bound"]  # 10% worse against a 5% bound
+    r = bench_pairs.compare(parent, [9.6, 9.6, 9.6], "higher", 0.05)
+    assert r["within_bound"]
+
+
+def test_parse_run_reads_the_result_line_and_the_digest():
+    record = {"correct": True, "attempted": 21, "failed": 0,
+              "metrics": {"wall_s": {"value": 2.5, "unit": "s"}}}
+    stdout = ("workload height: seed 1, 21 jobs\n"
+              "digest sha256 abc123\n"
+              "answers: 21 of 21 correct; run took 3.0 s\n" + json.dumps(record) + "\n")
+    assert bench_pairs.parse_run(stdout) == {
+        "metrics": {"wall_s": 2.5}, "digest": "abc123", "failed": 0, "attempted": 21,
+    }
