@@ -395,11 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
-        # a stdout that cannot take the answer is an error of this run,
-        # reported here like any other, not at interpreter exit
-        _flush(sys.stdout)
-        return code
+        return args.func(args)
     except InfiniteFamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFINITE
@@ -440,10 +436,11 @@ def run() -> NoReturn:
             print(code, file=sys.stderr)
             code = 1
     try:
+        # a stdout that cannot take the answer is an error of this run,
+        # reported like any other, not at interpreter exit
         _flush(sys.stdout)
     except OSError as exc:
-        if code != EXIT_INTERNAL:  # else main has reported this failed write
-            code = _internal_error(exc)
+        code = _internal_error(exc)
     _flush(sys.stderr)
     os._exit(code)
 

@@ -85,8 +85,8 @@ def test_closed_stdout_exits_internal(unbuffered):
 
 
 def test_help_into_a_closed_stdout_exits_internal():
-    # argparse prints --help and raises SystemExit(0) before main flushes;
-    # run's own flush finds the closed pipe
+    # argparse prints --help and raises SystemExit(0); run's flush finds
+    # the closed pipe
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -94,16 +94,6 @@ def test_help_into_a_closed_stdout_exits_internal():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_INTERNAL, BROKEN_PIPE)
-
-
-def test_main_reports_a_stdout_it_cannot_flush(capsys, monkeypatch):
-    class ClosedPipe(io.StringIO):
-        def flush(self):
-            raise BrokenPipeError(32, "Broken pipe")
-
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    assert cli.main(["count", "--n", "5", "--k", "0"]) == cli.EXIT_INTERNAL
-    assert capsys.readouterr().err == BROKEN_PIPE
 
 
 class _Stream(io.StringIO):
@@ -117,11 +107,11 @@ class _Stream(io.StringIO):
         super().flush()
 
 
-def _run_with(monkeypatch, fake_main) -> list:
+def _run_with(monkeypatch, fake_main, stdout_type=_Stream) -> list:
     """Call `cli.run` with `main` replaced and the streams and `os._exit`
     recording what happens to them, in order."""
     events: list = []
-    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(sys, "stdout", stdout_type("stdout", events))
     monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
     monkeypatch.setattr(cli, "main", fake_main)
     monkeypatch.setattr(cli.os, "_exit", lambda code: events.append(("exit", code)))
@@ -150,6 +140,22 @@ def test_run_maps_system_exit_as_sys_exit_does(monkeypatch, status, code, err):
     events = _run_with(monkeypatch, fake_main)
     assert events[-3:] == [("flush", "stdout"), ("flush", "stderr"), ("exit", code)]
     assert sys.stderr.getvalue() == err
+
+
+@pytest.mark.parametrize("main_code", [cli.EXIT_OK, cli.EXIT_DISAGREE])
+def test_run_reports_a_stdout_it_cannot_flush_once(monkeypatch, main_code):
+    class ClosedPipe(_Stream):
+        def flush(self):
+            super().flush()
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fake_main():
+        print("answer")
+        return main_code
+
+    events = _run_with(monkeypatch, fake_main, ClosedPipe)
+    assert events == [("flush", "stdout"), ("flush", "stderr"), ("exit", cli.EXIT_INTERNAL)]
+    assert sys.stderr.getvalue() == BROKEN_PIPE
 
 
 def test_run_lets_other_exceptions_through(monkeypatch):

@@ -2,15 +2,15 @@
 """Run the benchmark in alternating pairs on two checkouts and write a BENCH file.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload small-queries --workload height --seed 7 --pairs 10 \\
-        --out BENCH_13.json
+        --workload small-queries --workload height --seed 13 --out BENCH_13.json
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout, with the
-same workload, seed and run length; the side that runs first alternates from
-pair to pair.  Every run uses the checkout's own `perfbench/run.py` and
-`BENCHMARK.json`.  Python's bytecode caches are deleted from both trees
-before every run, because a tree that still holds `__pycache__` measures
-faster whatever its code.
+Each of ten pairs runs `perfbench/run.py --seconds 25 --trace 0` once in
+each checkout, with the same workload and seed; the side that runs first
+alternates from pair to pair.  Ten pairs is what the rule for a resolved
+gain (nine wins in ten) is written for.  Every run uses the checkout's own
+`perfbench/run.py` and `BENCHMARK.json`.  Python's bytecode caches are
+deleted from both trees before every run, because a tree that still holds
+`__pycache__` measures faster whatever its code.
 
 The BENCH file holds the environment, both revisions, every pair's metrics,
 digests and failed counts, and per workload and metric: each side's median
@@ -32,6 +32,8 @@ from pathlib import Path
 from typing import Optional
 
 DIGEST_PREFIX = "digest sha256 "
+PAIRS = 10
+SECONDS = 25
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,9 +90,9 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(argv)} in {tree} exited {proc.returncode}: "
@@ -104,12 +106,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, so that quartiles exist")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -120,20 +118,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             "nproc": len(os.sched_getaffinity(0)),
             "revisions": {side: revision(tree) for side, tree in trees.items()},
         },
-        "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-                     "trace": 0},
+        "settings": {"seed": args.seed, "seconds": SECONDS, "pairs": PAIRS, "trace": 0},
         "workloads": {},
     }
     for workload in args.workload:
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             runs = {}
             for side in order:
                 for tree in trees.values():
                     clear_bytecode(tree)
-                runs[side] = bench_once(trees[side], workload, args.seed, args.seconds)
-                print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                runs[side] = bench_once(trees[side], workload, args.seed)
+                print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
                       f"{json.dumps(runs[side]['metrics'])}", file=sys.stderr)
             pairs.append({"first": order[0], **runs})
         report["workloads"][workload] = {
