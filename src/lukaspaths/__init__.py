@@ -19,19 +19,19 @@ _EXPORTS = {
     ),
     "series": (
         "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
-        "catalan_gf", "lukas_power_coeff",
+        "catalan_gf",
     ),
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
     "bounded": (
         "SystemMatrix", "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly",
-        "det_poly", "fibonacci_poly", "height_distribution", "n_poly", "total_bounded_gf",
+        "det_poly", "fibonacci_poly", "n_poly", "total_bounded_gf",
     ),
     "alternate": (
-        "SexticRoot", "alt_asymptotic", "alt_dp_count", "alt_series", "dominant_root",
+        "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root",
         "s1_series", "s2_series",
     ),
     "asymptotics": (
-        "FAMILIES", "HeightStats", "avg_height", "sqrt_pi_ratio_profile", "substitution_check",
+        "FAMILIES", "HeightStats", "avg_height", "substitution_check",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

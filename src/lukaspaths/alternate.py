@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import EndKind, Orientation, PathQuery, dp_count
+from .core import EndKind
 from .series import DEFAULT_ORDER, IntPoly, Series
 
 # Only the bisection below works in rationals, so `dominant_root` and
@@ -89,12 +89,6 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
         return (num / (one_z2 * s1 * s1)).truncate(order)
     num = z * (2 * s1 * s1 * z + 2 * s1 * z * z + s1 + z)
     return (num / (one_z2 * s1k * s1 * s1)).truncate(order)
-
-
-def alt_dp_count(n: int, k: int, kind: EndKind = EndKind.ANY) -> int:
-    """Exact alternate-prefix count by the dynamic program over
-    (height, last-step class) with same-class transitions forbidden."""
-    return dp_count(PathQuery(n, k, kind, Orientation.L2R, alternate=True))
 
 
 class SexticRoot(NamedTuple):

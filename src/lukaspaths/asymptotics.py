@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import FAMILIES, EndKind, InfiniteFamilyError, Orientation, _bound_sweep
 
@@ -106,17 +106,6 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     spn = math.sqrt(math.pi * n)
     return HeightStats(n=n, family=family, k=k, mean_height=mean, sqrt_pi_n=spn,
                        ratio=float(mean) / spn)
-
-
-def sqrt_pi_ratio_profile(
-    family: str,
-    n_list: Iterable[int],
-    k: Optional[int] = None,
-    route: str = "gf",
-) -> list[HeightStats]:
-    """Mean/sqrt(pi n) ratios across several lengths, for convergence
-    monitoring."""
-    return [avg_height(n, family, k=k, route=route) for n in n_list]
 
 
 def substitution_check(t: int, u: Fraction) -> bool:

@@ -13,10 +13,9 @@ and how `bounded_gf_sweep` steps one family's generating function up in t.
 """
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import EndKind, Orientation, _bound_sweep
+from .core import EndKind, Orientation
 from .series import IntPoly, RationalGF, binom
 
 _ZERO = IntPoly()
@@ -254,13 +253,3 @@ def bounded_gf_sweep(
     while True:
         yield RationalGF(num[0], den[0])
         num, den = _step(*num), _step(*den)
-
-
-def height_distribution(n: int) -> list[int]:
-    """c_t(n) for t = 0..n: length-n paths returning to height 0 whose
-    height never exceeds t.  Computed by one sweep of the bounded dynamic
-    program over t; the generating-function route re-derives it in the test
-    suite."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return list(islice(_bound_sweep(n, 0, Orientation.L2R), n + 1))

@@ -49,13 +49,30 @@ environment:
 """
 
 
-def _flush(stream) -> None:
-    if stream is not None:  # None when its descriptor was closed at start-up
-        stream.flush()
+#: Exit code of each reported error class, all of them ValueErrors; the
+#: first match wins.
+_EXIT_CODES = (
+    (InfiniteFamilyError, EXIT_INFINITE),
+    (OracleCapError, EXIT_ORACLE_CAP),
+    (BFileError, EXIT_BFILE),
+    (ValueError, EXIT_DOMAIN),  # EngineDomainError and the engines' own checks
+)
+
+
+def _report(line: str) -> None:
+    """Write one error line to standard error.  A stderr that cannot take it
+    (closed, or a pipe whose reader has gone) loses the line; the exit code
+    still tells."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _internal_error(exc: Exception) -> int:
-    print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    _report(f"error: internal error: {type(exc).__name__}: {exc}")
     return EXIT_INTERNAL
 
 
@@ -70,7 +87,7 @@ def _default_order() -> int:
         if value < 1:
             raise ValueError
     except ValueError:
-        print(f"error: LUKAS_ORDER must be a positive integer, got {raw!r}", file=sys.stderr)
+        _report(f"error: LUKAS_ORDER must be a positive integer, got {raw!r}")
         raise SystemExit(EXIT_USAGE)
     return value
 
@@ -184,7 +201,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         engines = applicable_engines(query, args.oracle_cap)
         results = {e: count_by_engine(e, query, args.oracle_cap) for e in engines}
         if len(set(results.values())) != 1:
-            print(f"error: engine disagreement at {query}: {results}", file=sys.stderr)
+            _report(f"error: engine disagreement at {query}: {results}")
             return EXIT_DISAGREE
         value = results[engines[0]]
         used = engines
@@ -238,9 +255,9 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from .engines import compare_bfile, read_bfile
 
-    bfile = read_bfile(args.bfile)
+    table = read_bfile(args.bfile)
     values = _series_values(_query_fields(args), args.total, args.order)
-    ncomp, mismatches = compare_bfile(bfile, values, shift=args.shift, start=args.start)
+    ncomp, mismatches = compare_bfile(table, values, shift=args.shift, start=args.start)
     for i, got, want in mismatches:
         print(f"index {i}: computed {got} != fixture {want}")
     print(f"{ncomp} comparisons, {len(mismatches)} mismatches")
@@ -396,19 +413,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except InfiniteFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE_CAP
-    except BFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BFILE
-    except (EngineDomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except Exception as exc:
+        for classes, code in _EXIT_CODES:
+            if isinstance(exc, classes):
+                _report(f"error: {exc}")
+                return code
         return _internal_error(exc)
     finally:
         if limit:
@@ -426,22 +435,34 @@ def run() -> NoReturn:
     (argparse usage errors and --help, a bad LUKAS_ORDER) gives its status
     as `sys.exit` would; any other exception takes the normal path.
     """
+    # Python sets a stream whose descriptor was closed at start-up to None.
+    # Error lines then go nowhere, as into any stderr that cannot take them,
+    # rather than to argparse's fallback for a missing stderr, stdout.
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    # A stdout that cannot take the answer is an error of this run, reported
+    # like any other, not at interpreter exit; closed at start-up, the
+    # command does not run.
+    if sys.stdout is None:
+        code = _internal_error(OSError("standard output is closed"))
+    else:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                code = EXIT_OK
+            elif not isinstance(code, int):
+                _report(str(code))
+                code = 1
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = _internal_error(exc)
     try:
-        code = main()
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            code = EXIT_OK
-        elif not isinstance(code, int):
-            print(code, file=sys.stderr)
-            code = 1
-    try:
-        # a stdout that cannot take the answer is an error of this run,
-        # reported like any other, not at interpreter exit
-        _flush(sys.stdout)
-    except OSError as exc:
-        code = _internal_error(exc)
-    _flush(sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

@@ -11,7 +11,7 @@ height-bounded alternate paths).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     DEFAULT_ORACLE_CAP,
@@ -28,8 +28,6 @@ from .core import (
 )
 from .counts import prefix_count, prefix_series, suffix_count, suffix_series
 from .series import Series, catalan, catalan_gf
-
-ENGINES = ("oracle", "dp", "closed", "gf")
 
 
 def series_for_query(
@@ -183,18 +181,10 @@ def cross_engine_grid(n_max: int = 9) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-class BFile(NamedTuple):
-    """Parsed b-file: OEIS-style 'index value' lines."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-
-def read_bfile(path: str | Path) -> BFile:
-    """Parse a b-file; blank lines and '#' comments are ignored, indices must
-    be strictly increasing."""
+def read_bfile(path: str | Path) -> dict[int, int]:
+    """Parse a b-file of OEIS-style 'index value' lines into {index: value};
+    blank lines and '#' comments are ignored, indices must be strictly
+    increasing."""
     entries: list[tuple[int, int]] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -214,7 +204,7 @@ def read_bfile(path: str | Path) -> BFile:
         if entries and idx <= entries[-1][0]:
             raise BFileError(f"b-file indices not strictly increasing at line {lineno}")
         entries.append((idx, val))
-    return BFile(tuple(entries))
+    return dict(entries)
 
 
 def bundled_bfile(name: str) -> Path:
@@ -226,7 +216,7 @@ def bundled_bfile(name: str) -> Path:
 
 
 def compare_bfile(
-    bfile: BFile,
+    table: dict[int, int],
     computed: list[int],
     shift: int = 0,
     start: int = 0,
@@ -236,7 +226,6 @@ def compare_bfile(
     mismatches) with mismatches as (index, computed, fixture) triples."""
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
-    table = bfile.as_dict()
     comparisons = 0
     mismatches: list[tuple[int, int, int]] = []
     for i in range(start, len(computed)):
@@ -283,7 +272,7 @@ def run_fixture_checks(order: int = 21) -> list[tuple[str, int, int]]:
     for name, kwargs, shift, start in FIXTURE_CHECKS:
         series = series_for_query(order=order, **kwargs)
         computed = series.integer_coefficients()
-        bfile = read_bfile(bundled_bfile(name))
-        ncomp, mismatches = compare_bfile(bfile, computed, shift, start)
+        table = read_bfile(bundled_bfile(name))
+        ncomp, mismatches = compare_bfile(table, computed, shift, start)
         results.append((name, ncomp, len(mismatches)))
     return results

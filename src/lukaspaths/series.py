@@ -159,9 +159,6 @@ class Series:
     def __sub__(self, other) -> "Series":
         return self + (-other)
 
-    def __rsub__(self, other) -> "Series":
-        return (-self) + other
-
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
             return Series([c * other for c in self.coeffs])
@@ -194,9 +191,6 @@ class Series:
             raise ValueError("non-invertible series (zero constant term)")
         m = min(self.order, other.order)
         return Series(_quotient(self.coeffs, other.coeffs, m))
-
-    def __rtruediv__(self, other) -> "Series":
-        return Series.constant(other, self.order) / self
 
     def sqrt(self) -> "Series":
         """Square root with constant term +1, by Newton iteration.
@@ -382,18 +376,3 @@ def catalan_gf(order: int) -> Series:
     if order < 1:
         raise ValueError("order must be positive")
     return Series([catalan(n) for n in range(order)])
-
-
-def lukas_power_coeff(n: int, k: int) -> int:
-    """Coefficient of z^n in ((1 - sqrt(1-4z)) / (2z))^k.
-
-    Computed by the difference of binomials C(2n-1+k, n) - C(2n-1+k, n-1);
-    for n = 0 the coefficient is 1 for every k since the base series has unit
-    constant term.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if n == 0:
-        return 1
-    return binom(2 * n - 1 + k, n) - binom(2 * n - 1 + k, n - 1)
-

@@ -13,11 +13,10 @@ from fractions import Fraction
 
 from lukaspaths.alternate import (
     alt_asymptotic,
-    alt_dp_count,
     alt_series,
     dominant_root,
 )
-from lukaspaths.asymptotics import sqrt_pi_ratio_profile, substitution_check
+from lukaspaths.asymptotics import avg_height, substitution_check
 from lukaspaths.bounded import (
     bounded_gf,
     build_system_matrix,
@@ -173,7 +172,7 @@ def test_criterion_06_substitution_identities():
 
 def test_criterion_07_average_height_ratios():
     with criterion(7, "average height vs sqrt(pi n)", limit_s=120.0):
-        stats = sqrt_pi_ratio_profile("return-to-zero", [64, 128, 256], route="gf")
+        stats = [avg_height(n, "return-to-zero", route="gf") for n in (64, 128, 256)]
         ratios = [st.ratio for st in stats]
         assert ratios[0] < ratios[1] < ratios[2], ratios
         assert 0.80 <= ratios[2] <= 1.02, ratios
@@ -186,7 +185,7 @@ def test_criterion_08_alternate_tables():
             for n in range(0, 10):
                 want = row[n]
                 assert series[n] == want, ("gf", n, k)
-                assert alt_dp_count(n, k) == want, ("dp", n, k)
+                assert dp_count(PathQuery(n, k, alternate=True)) == want, ("dp", n, k)
                 assert enumerate_count(PathQuery(n, k, alternate=True)) == want, (
                     "oracle", n, k,
                 )
@@ -204,7 +203,7 @@ def test_criterion_10_alternate_asymptotics():
     with criterion(10, "alternate asymptotics vs exact dp", limit_s=60.0):
         root = dominant_root(Fraction(1, 10**30))
         deviations = {
-            n: abs(alt_asymptotic(n, root) / alt_dp_count(n, 0) - 1)
+            n: abs(alt_asymptotic(n, root) / dp_count(PathQuery(n, 0, alternate=True)) - 1)
             for n in (100, 300, 400)
         }
         assert deviations[300] <= 0.05, deviations

@@ -4,7 +4,6 @@ import pytest
 
 from lukaspaths.alternate import (
     alt_asymptotic,
-    alt_dp_count,
     alt_series,
     dominant_root,
     s1_series,
@@ -14,6 +13,12 @@ from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate
 from lukaspaths.series import Series
 
 KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
+
+
+def _alt_dp(n: int, k: int, kind: EndKind = EndKind.ANY) -> int:
+    """Left-to-right alternate-prefix count by the dynamic program."""
+    return dp_count(PathQuery(n, k, kind, Orientation.L2R, alternate=True))
+
 
 ALT_ROWS = {
     0: [1, 1, 1, 3, 5, 9, 19, 39, 81, 173],
@@ -55,7 +60,7 @@ def test_s2_valuation_and_product_identity():
 
 def test_h0_series_matches_flat_end_dynamic_program():
     h0 = alt_series(0, EndKind.FLAT, 12)
-    dp_row = [alt_dp_count(n, 0, EndKind.FLAT) for n in range(12)]
+    dp_row = [_alt_dp(n, 0, EndKind.FLAT) for n in range(12)]
     assert h0.integer_coefficients() == dp_row
     assert dp_row[:8] == [0, 1, 0, 1, 2, 3, 6, 13]
 
@@ -68,13 +73,13 @@ def test_alt_any_printed_rows(k, row):
 def test_alt_series_examples():
     assert alt_series(2, EndKind.ANY, 8).integer_coefficients()[6] == 105
     got = alt_series(1, EndKind.UP, 4).integer_coefficients()[3]
-    assert got == alt_dp_count(3, 1, EndKind.UP) == 1
+    assert got == _alt_dp(3, 1, EndKind.UP) == 1
 
 
 def test_alt_dp_examples():
-    assert alt_dp_count(3, 0) == 3
-    assert alt_dp_count(2, 0) == 1
-    assert alt_dp_count(9, 3) == 2645
+    assert _alt_dp(3, 0) == 3
+    assert _alt_dp(2, 0) == 1
+    assert _alt_dp(9, 3) == 2645
     assert enumerate_count(PathQuery(2, 0, alternate=True)) == 1
 
 
@@ -84,22 +89,22 @@ def test_alt_series_equals_dp_wide_grid():
         for kind in KINDS:
             coeffs = alt_series(k, kind, n_top + 1).integer_coefficients()
             for n in range(1, n_top + 1):
-                assert coeffs[n] == alt_dp_count(n, k, kind), (n, k, kind)
+                assert coeffs[n] == _alt_dp(n, k, kind), (n, k, kind)
 
 
 def test_alt_kind_additivity_with_epsilon():
     for n in range(0, 12):
         for k in range(0, 5):
-            parts = sum(alt_dp_count(n, k, kd) for kd in KINDS[1:])
+            parts = sum(_alt_dp(n, k, kd) for kd in KINDS[1:])
             eps = 1 if (n == 0 and k == 0) else 0
-            assert alt_dp_count(n, k) == parts + eps
+            assert _alt_dp(n, k) == parts + eps
 
 
 def test_alternate_subset_of_unrestricted():
     for n in range(0, 10):
         for k in range(0, n + 1):
             for kind in KINDS:
-                assert alt_dp_count(n, k, kind) <= dp_count(PathQuery(n, k, kind))
+                assert _alt_dp(n, k, kind) <= dp_count(PathQuery(n, k, kind))
 
 
 def test_alt_flat_relation():
@@ -133,7 +138,7 @@ def test_asymptotic_against_dp_oracle():
     root = dominant_root(Fraction(1, 10**30))
     deviations = []
     for n in (50, 100, 200, 300, 400):
-        ratio = alt_asymptotic(n, root) / alt_dp_count(n, 0)
+        ratio = alt_asymptotic(n, root) / _alt_dp(n, 0)
         assert ratio > 0
         deviations.append(abs(ratio - 1))
     assert all(a > b for a, b in zip(deviations, deviations[1:]))

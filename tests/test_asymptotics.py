@@ -15,7 +15,6 @@ from lukaspaths.asymptotics import (
     _family_model,
     _gf_bounded_counts,
     avg_height,
-    sqrt_pi_ratio_profile,
     substitution_check,
 )
 from lukaspaths.bounded import bounded_gf, bounded_gf_sweep, d_poly, n_poly, total_bounded_gf
@@ -209,14 +208,14 @@ def test_mean_is_nondecreasing_in_length():
 
 
 def test_ratio_profile_increasing_moderate_lengths():
-    stats = sqrt_pi_ratio_profile("return-to-zero", [16, 32, 64])
+    stats = [avg_height(n, "return-to-zero") for n in (16, 32, 64)]
     ratios = [st.ratio for st in stats]
     assert ratios == sorted(ratios)
     assert all(0 < r < 1 for r in ratios)
 
 
 def test_suffix_any_ratios_in_window():
-    stats = sqrt_pi_ratio_profile("suffix-any", [64, 256])
+    stats = [avg_height(n, "suffix-any") for n in (64, 256)]
     for st in stats:
         assert 0.7 < st.ratio < 1.05, st
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lukaspaths.engines import BFile, compare_bfile
+from lukaspaths.engines import compare_bfile
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "lukaspaths" / "data"
@@ -24,7 +24,7 @@ def test_bundled_bfiles_match_the_generator(tmp_path, monkeypatch):
 
 
 def test_compare_bfile_rejects_a_negative_start():
-    bfile = BFile(((0, 1), (1, 1), (2, 2)))
-    assert compare_bfile(bfile, [0, 1, 1, 2], shift=1, start=0) == (3, [])
+    table = {0: 1, 1: 1, 2: 2}
+    assert compare_bfile(table, [0, 1, 1, 2], shift=1, start=0) == (3, [])
     with pytest.raises(ValueError, match="start must be nonnegative, got -1"):
-        compare_bfile(bfile, [0, 1, 1, 2], shift=1, start=-1)
+        compare_bfile(table, [0, 1, 1, 2], shift=1, start=-1)

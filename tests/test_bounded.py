@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from lukaspaths.bounded import (
@@ -8,11 +10,10 @@ from lukaspaths.bounded import (
     d_poly,
     det_poly,
     fibonacci_poly,
-    height_distribution,
     n_poly,
     total_bounded_gf,
 )
-from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count
+from lukaspaths.core import EndKind, Orientation, PathQuery, _bound_sweep, dp_count
 from lukaspaths.counts import prefix_series, suffix_series
 from lukaspaths.series import IntPoly, RationalGF, catalan
 
@@ -282,18 +283,24 @@ def test_total_stabilization_is_a_suffix_model_property():
         assert all(a < b for a, b in zip(values, values[1:])), (n, values)
 
 
-def test_height_distribution_examples():
-    assert height_distribution(3) == [1, 4, 5, 5]
-    assert height_distribution(0) == [1]
-    hd9 = height_distribution(9)
+def _return_to_zero_by_bound(n: int) -> list[int]:
+    """c_t(n) for t = 0..n: length-n paths returning to height 0 whose height
+    never exceeds t, by the dynamic program's sweep of the bound."""
+    return list(islice(_bound_sweep(n, 0, Orientation.L2R), n + 1))
+
+
+def test_bound_sweep_return_to_zero_examples():
+    assert _return_to_zero_by_bound(3) == [1, 4, 5, 5]
+    assert _return_to_zero_by_bound(0) == [1]
+    hd9 = _return_to_zero_by_bound(9)
     assert hd9[2] == 1597
     assert hd9[9] == catalan(9)
     assert all(a <= b for a, b in zip(hd9, hd9[1:]))
 
 
-def test_height_distribution_matches_gf_route():
+def test_bound_sweep_return_to_zero_matches_gf_route():
     for n in range(0, 13):
-        hd = height_distribution(n)
+        hd = _return_to_zero_by_bound(n)
         for t in range(0, n + 1):
             via_gf = bounded_gf(t, 0, EndKind.ANY).coefficients_int(n + 1)[n]
             assert hd[t] == via_gf, (n, t)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -28,9 +29,20 @@ def _env(unbuffered: bool = False, **extra: str) -> dict:
     return env
 
 
-def _spawn(argv: list[str], stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+def _spawn(argv: list[str], stdout=subprocess.PIPE, closed: Optional[int] = None,
+           **env) -> subprocess.CompletedProcess:
+    """Run `python -m lukaspaths argv`; `closed` names a standard descriptor
+    the child starts without, as the shell's `>&-` or `2>&-` leaves it."""
     return subprocess.run([sys.executable, "-m", "lukaspaths", *argv], env=_env(**env),
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=None if closed is None else lambda: os.close(closed))
+
+
+def _broken_pipe() -> int:
+    """The write end of a pipe whose reader has gone; the caller closes it."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
 
 
 def _in_process(capsys, monkeypatch, argv: list[str], **env) -> tuple:
@@ -45,7 +57,10 @@ def _in_process(capsys, monkeypatch, argv: list[str], **env) -> tuple:
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
 def test_long_output_arrives_whole(capsys, monkeypatch, unbuffered):
     argv = ["series", "--k", "2", "--order", "400"]
     proc = _spawn(argv, unbuffered=unbuffered)
@@ -53,7 +68,8 @@ def test_long_output_arrives_whole(capsys, monkeypatch, unbuffered):
     assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, monkeypatch, argv)
 
 
-@pytest.mark.parametrize("code, argv, env", [
+#: (exit code, argv, environment) of each documented outcome.
+EXIT_CASES = pytest.mark.parametrize("code, argv, env", [
     (0, ["count", "--n", "5", "--k", "0"], {}),
     (2, ["count", "--n", "5", "--k", "0", "--no-such-flag"], {}),
     (2, ["series", "--k", "1"], {"LUKAS_ORDER": "abc"}),
@@ -64,6 +80,9 @@ def test_long_output_arrives_whole(capsys, monkeypatch, unbuffered):
     (7, ["count", "--n", "5", "--total", "--kind", "up", "--engine", "dp"], {}),
 ], ids=["ok", "bad-flag", "bad-LUKAS_ORDER", "infinite", "oracle-cap", "disagree", "bfile",
         "domain"])
+
+
+@EXIT_CASES
 def test_exit_codes_and_messages_match_main(capsys, monkeypatch, code, argv, env):
     proc = _spawn(argv, **env)
     assert proc.returncode == code
@@ -73,10 +92,9 @@ def test_exit_codes_and_messages_match_main(capsys, monkeypatch, code, argv, env
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@BUFFERING
 def test_closed_stdout_exits_internal(unbuffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    write_end = _broken_pipe()
     try:
         proc = _spawn(["count", "--n", "5", "--k", "0"], stdout=write_end, unbuffered=unbuffered)
     finally:
@@ -87,13 +105,41 @@ def test_closed_stdout_exits_internal(unbuffered):
 def test_help_into_a_closed_stdout_exits_internal():
     # argparse prints --help and raises SystemExit(0); run's flush finds
     # the closed pipe
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    write_end = _broken_pipe()
     try:
         proc = _spawn(["--help"], stdout=write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_INTERNAL, BROKEN_PIPE)
+
+
+@BUFFERING
+def test_stdout_closed_at_start_up_exits_internal(unbuffered):
+    # the command does not run: its answer has nowhere to go
+    proc = _spawn(["count", "--n", "5", "--k", "0"], closed=1, unbuffered=unbuffered)
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert proc.stderr.startswith("error: internal error: ") and proc.stderr.count("\n") == 1
+
+
+@BUFFERING
+@EXIT_CASES
+def test_closed_stderr_keeps_the_exit_code(capsys, monkeypatch, unbuffered, code, argv, env):
+    # the error line is lost, the exit code and the answer are not
+    proc = _spawn(argv, closed=2, unbuffered=unbuffered, **env)
+    want, out, _ = _in_process(capsys, monkeypatch, argv, **env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (want, out, "")
+    assert proc.returncode == code
+
+
+@BUFFERING
+def test_closed_stderr_and_broken_stdout_exit_internal(unbuffered):
+    write_end = _broken_pipe()
+    try:
+        proc = _spawn(["count", "--n", "5", "--k", "0"], stdout=write_end, closed=2,
+                      unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_INTERNAL, "")
 
 
 class _Stream(io.StringIO):

@@ -10,7 +10,6 @@ from lukaspaths.series import (
     binom,
     catalan,
     catalan_gf,
-    lukas_power_coeff,
 )
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -103,41 +102,6 @@ def test_sqrt_examples():
 def test_sqrt_requires_unit_constant():
     with pytest.raises(ValueError, match="unit constant"):
         Series([4, 0, 0]).sqrt()
-
-
-def test_lukas_power_coeff_examples():
-    assert lukas_power_coeff(5, 1) == 42
-    assert all(lukas_power_coeff(0, k) == 1 for k in range(6))
-    assert lukas_power_coeff(3, 2) == 14
-    # convolution spelled out: 1*5 + 1*2 + 2*1 + 5*1
-    assert 1 * 5 + 1 * 2 + 2 * 1 + 5 * 1 == 14
-
-
-def test_lukas_power_coeff_against_folded_powers():
-    order = 17
-    base = catalan_gf(order).integer_coefficients()
-    for k in range(0, 17):
-        power = brute_convolution_power(base, k, order)
-        for n in range(order):
-            assert lukas_power_coeff(n, k) == power[n], (n, k)
-
-
-def lukas_power_coeff_ballot(n: int, k: int) -> int:
-    """Equivalent ballot-style closed form k/(2n+k) * C(2n+k, n), valid for
-    k >= 1; kept as an independent cross-check of `lukas_power_coeff`."""
-    if k < 1:
-        raise ValueError("ballot form requires k >= 1")
-    val = k * binom(2 * n + k, n)
-    q, r = divmod(val, 2 * n + k)
-    if r:
-        raise ArithmeticError(f"ballot form not integral at n={n}, k={k}")
-    return q
-
-
-def test_lukas_power_coeff_ballot_form_agrees():
-    for k in range(1, 12):
-        for n in range(0, 16):
-            assert lukas_power_coeff_ballot(n, k) == lukas_power_coeff(n, k)
 
 
 def test_binom_zero_convention():

@@ -15,13 +15,11 @@ PUBLIC = [
     "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "Path", "PathQuery",
     "Step", "dp_count", "enumerate_count", "enumerate_profile", "is_alternate", "max_height",
     "validate", "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
-    "catalan_gf", "lukas_power_coeff",
-    "prefix_count", "prefix_series", "suffix_count", "suffix_series", "SystemMatrix",
-    "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly", "det_poly",
-    "fibonacci_poly", "height_distribution", "n_poly", "total_bounded_gf", "SexticRoot",
-    "alt_asymptotic", "alt_dp_count", "alt_series", "dominant_root", "s1_series",
-    "s2_series", "FAMILIES", "HeightStats", "avg_height", "sqrt_pi_ratio_profile",
-    "substitution_check",
+    "catalan_gf", "prefix_count", "prefix_series", "suffix_count", "suffix_series",
+    "SystemMatrix", "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly",
+    "det_poly", "fibonacci_poly", "n_poly", "total_bounded_gf", "SexticRoot",
+    "alt_asymptotic", "alt_series", "dominant_root", "s1_series", "s2_series", "FAMILIES",
+    "HeightStats", "avg_height", "substitution_check",
 ]
 
 
