@@ -22,10 +22,6 @@ from .series import DEFAULT_ORDER, IntPoly, Series
 # `alt_asymptotic` import `fractions` themselves and alternate `count` and
 # `series` jobs never load it; the `Fraction` annotations are never evaluated.
 
-#: Margin of extra working coefficients so shifts and divisions inside the
-#: closed forms never eat into the requested order.
-_PAD = 4
-
 #: p(z) = 4z^6 - 4z^4 - 4z^3 - 4z^2 + 1, the discriminant of the kernel in u,
 #: and the other fixed polynomials of the closed forms.
 _SEXTIC = IntPoly([1, 0, -4, -4, -4, 0, 4])
@@ -48,11 +44,8 @@ def s2_series(order: int = DEFAULT_ORDER) -> Series:
     s1 s2 (1 + z^2) = z^2; it has valuation 2."""
     if order < 3:
         raise ValueError("order must be at least 3 to see the valuation")
-    work = order + 2
-    s1 = s1_series(work)
-    one_z2 = _ONE_PLUS_Z2.to_series(work)
-    inv = (one_z2 * s1).inverse()
-    return inv.shift_up(2).truncate(order)
+    s1 = s1_series(order)
+    return (_ONE_PLUS_Z2.to_series(order) * s1).inverse().shift_up(2)
 
 
 def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) -> Series:
@@ -64,31 +57,30 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
     """
     if k < 0:
         raise ValueError("end height must be nonnegative")
-    work = order + _PAD
-    s1 = s1_series(work)
-    z = Series.z(work)
-    one_z2 = _ONE_PLUS_Z2.to_series(work)
+    s1 = s1_series(order)
+    z = Series.z(order)
+    one_z2 = _ONE_PLUS_Z2.to_series(order)
     s1k = s1**k
 
     if kind is EndKind.UP:
         if k == 0:
             return Series.one(order)
         num = z * (z + 1)
-        return (num / (one_z2 * s1k)).truncate(order)
+        return num / (one_z2 * s1k)
     if kind is EndKind.DOWN:
         num = (z * z) * (2 * z * s1 + 1)
-        return (num / (one_z2 * s1k * s1 * s1)).truncate(order)
+        return num / (one_z2 * s1k * s1 * s1)
     if kind is EndKind.FLAT:
-        if k == 0:
-            return s2_series(max(order + 1, 3)).shift_down(1).truncate(order)
+        if k == 0:  # s2 / z
+            return z / (one_z2 * s1)
         num = z * ((z - 1) * s1 + 1)
-        return (num / (one_z2 * s1k * s1)).truncate(order)
+        return num / (one_z2 * s1k * s1)
     if k == 0:
         z2 = z * z
         num = s1 * s1 * z2 + 2 * s1 * z2 * z + s1 * s1 + s1 * z + z2
-        return (num / (one_z2 * s1 * s1)).truncate(order)
+        return num / (one_z2 * s1 * s1)
     num = z * (2 * s1 * s1 * z + 2 * s1 * z * z + s1 + z)
-    return (num / (one_z2 * s1k * s1 * s1)).truncate(order)
+    return num / (one_z2 * s1k * s1 * s1)
 
 
 class SexticRoot(NamedTuple):

@@ -148,34 +148,23 @@ def _query_fields(args: argparse.Namespace) -> dict:
     )
 
 
-def _query_echo(fields: dict, n: Optional[int] = None, total: Optional[bool] = None) -> dict:
-    echo = {}
-    if n is not None:
-        echo["n"] = n
-    echo.update(
-        k=fields["k"],
-        kind=fields["kind"].value,
-        orientation=fields["orientation"].value,
-        bound=fields["bound"],
-        alternate=fields["alternate"],
-    )
-    if total is not None:
-        echo["total"] = total
-    return echo
+#: The parsed flags a JSON record echoes as its query, in this order; a
+#: subcommand that lacks one leaves it out.
+_ECHO = ("n", "k", "kind", "orientation", "bound", "alternate", "total")
 
 
-def _emit_record(query: dict, engine: str, values: list[int], meta: dict, fmt: str) -> None:
-    if fmt == "json":
+def _emit_record(args: argparse.Namespace, engine: str, values: list[int], meta: dict) -> None:
+    if args.format == "json":
         import json
 
         record = {
-            "query": query,
+            "query": {name: getattr(args, name) for name in _ECHO if hasattr(args, name)},
             "engine": engine,
             "values": [str(v) for v in values],
             "meta": meta,
         }
         print(json.dumps(record))
-    elif fmt == "csv":
+    elif args.format == "csv":
         print("index,value")
         for i, v in enumerate(values):
             print(f"{i},{v}")
@@ -189,33 +178,25 @@ def _emit_record(query: dict, engine: str, values: list[int], meta: dict, fmt: s
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .engines import applicable_engines, count_by_engine
+    from .engines import count_by_engine, engine_counts
 
-    fields = _query_fields(args)
-    query = PathQuery(n=args.n, **fields)
+    query = PathQuery(n=args.n, **_query_fields(args))
     if query.is_infinite():
         raise InfiniteFamilyError(
             "infinite family: unbounded l2r query with no end height"
         )
     if args.engine == "all":
-        engines = applicable_engines(query, args.oracle_cap)
-        results = {e: count_by_engine(e, query, args.oracle_cap) for e in engines}
+        results = engine_counts(query, args.oracle_cap)
         if len(set(results.values())) != 1:
             _report(f"error: engine disagreement at {query}: {results}")
             return EXIT_DISAGREE
-        value = results[engines[0]]
-        used = engines
+        used = list(results)
+        value = results[used[0]]
     else:
         value = count_by_engine(args.engine, query, args.oracle_cap)
         used = [args.engine]
     meta = {"engines": used, "oracle_cap": args.oracle_cap, "order": None, "precision": None}
-    _emit_record(
-        _query_echo(fields, n=args.n, total=args.total),
-        args.engine,
-        [value],
-        meta,
-        args.format,
-    )
+    _emit_record(args, args.engine, [value], meta)
     return EXIT_OK
 
 
@@ -234,16 +215,9 @@ def _series_values(fields: dict, total: bool, order: int) -> list[int]:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    fields = _query_fields(args)
-    values = _series_values(fields, args.total, args.order)
+    values = _series_values(_query_fields(args), args.total, args.order)
     meta = {"engines": ["gf"], "oracle_cap": None, "order": args.order, "precision": None}
-    _emit_record(
-        _query_echo(fields, total=args.total),
-        "gf",
-        values,
-        meta,
-        args.format,
-    )
+    _emit_record(args, "gf", values, meta)
     return EXIT_OK
 
 

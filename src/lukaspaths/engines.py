@@ -4,9 +4,10 @@ generated sequence data.
 
 The four engines are: the brute-force oracle (explicit generation), the
 dynamic program, the closed-form binomials, and exact generating-function
-expansion.  Not every engine covers every query; `EngineDomainError` marks
-the queries an engine does not define (for example, closed forms for
-height-bounded alternate paths).
+expansion.  Not every engine covers every query: an engine refuses a query
+outside its domain with `EngineDomainError` (for example, closed forms for
+height-bounded alternate paths) before computing anything, so
+`engine_counts` asks every engine and keeps the answers.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .core import (
     EndKind,
     EngineDomainError,
     InfiniteFamilyError,
+    OracleCapError,
     Orientation,
     PathQuery,
     dp_count,
@@ -71,24 +73,16 @@ def series_for_query(
     return suffix_series(k, kind, order)
 
 
-def closed_count(
-    n: int,
-    k: Optional[int],
-    kind: EndKind = EndKind.ANY,
-    orientation: Orientation = Orientation.L2R,
-    bound: Optional[int] = None,
-    alternate: bool = False,
-) -> int:
+def closed_count(query: PathQuery) -> int:
     """The closed-form binomial engine (unbounded, non-alternate queries)."""
-    if alternate or bound is not None:
+    if query.alternate or query.bound is not None:
         raise EngineDomainError("closed forms cover unbounded non-alternate queries only")
+    n, k, kind = query.n, query.k, query.kind
     if k is None:
-        if kind is not EndKind.ANY:
-            raise EngineDomainError("totals over end heights are defined for kind=any only")
-        if orientation is Orientation.R2L:
+        if query.orientation is Orientation.R2L:
             return catalan(n + 1)
         raise InfiniteFamilyError("infinite family: unbounded l2r totals over end heights")
-    if orientation is Orientation.L2R:
+    if query.orientation is Orientation.L2R:
         return prefix_count(n, k, kind)
     return suffix_count(n, k, kind)
 
@@ -100,9 +94,7 @@ def count_by_engine(engine: str, query: PathQuery, oracle_cap: int = DEFAULT_ORA
     if engine == "dp":
         return dp_count(query)
     if engine == "closed":
-        return closed_count(
-            query.n, query.k, query.kind, query.orientation, query.bound, query.alternate
-        )
+        return closed_count(query)
     if engine == "gf":
         series = series_for_query(
             query.k, query.kind, query.orientation, query.bound, query.alternate,
@@ -117,18 +109,18 @@ def count_by_engine(engine: str, query: PathQuery, oracle_cap: int = DEFAULT_ORA
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def applicable_engines(query: PathQuery, oracle_cap: int = DEFAULT_ORACLE_CAP) -> list[str]:
-    """The engines defined for this query (assuming it is a finite family)."""
-    out = ["dp"]
-    if query.n <= oracle_cap:
-        out.insert(0, "oracle")
-    if not query.alternate and query.bound is None:
-        out.append("closed")
-    if not query.alternate or (
-        query.orientation is Orientation.L2R and query.bound is None and query.k is not None
-    ):
-        out.append("gf")
-    return out
+def engine_counts(query: PathQuery, oracle_cap: int = DEFAULT_ORACLE_CAP) -> dict[str, int]:
+    """The query's count on every engine that answers it, in the order
+    oracle, dp, closed, gf.  An engine that refuses the query, outside its
+    domain or the oracle past `oracle_cap`, is left out; each refuses before
+    it computes anything."""
+    counts = {}
+    for engine in ("oracle", "dp", "closed", "gf"):
+        try:
+            counts[engine] = count_by_engine(engine, query, oracle_cap)
+        except (EngineDomainError, OracleCapError):
+            pass
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +141,8 @@ def cross_engine_grid(n_max: int = 9) -> Optional[str]:
 
     One exhaustive generation pass per (n, orientation, alternate) buckets
     paths by (end height, end kind, max height), from which every bounded and
-    per-kind oracle count is a partial sum.  The per-query oracle is run
-    directly on the smaller lengths as well.
+    per-kind oracle count is a partial sum.  Every engine is asked through
+    `engine_counts`, with the per-query oracle capped at the smaller lengths.
 
     Returns None when everything agrees, else a description of the first
     disagreement.
@@ -165,12 +157,8 @@ def cross_engine_grid(n_max: int = 9) -> Optional[str]:
                             query = PathQuery(n, k, kind, orientation, bound, alternate)
                             if query.is_infinite():
                                 continue
-                            got = {"dp": dp_count(query), "census": _tally(profile, query)}
-                            if n <= _PER_QUERY_ORACLE_N_MAX:
-                                got["oracle"] = enumerate_count(query)
-                            for engine in ("closed", "gf"):
-                                if engine in applicable_engines(query):
-                                    got[engine] = count_by_engine(engine, query)
+                            got = engine_counts(query, _PER_QUERY_ORACLE_N_MAX)
+                            got["census"] = _tally(profile, query)
                             if len(set(got.values())) != 1:
                                 return f"disagreement at {query}: {got}"
     return None

@@ -104,18 +104,13 @@ class Series:
         return cls([value] + [0] * (order - 1))
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls.constant(0, order)
-
-    @classmethod
     def one(cls, order: int) -> "Series":
         return cls.constant(1, order)
 
     @classmethod
     def z(cls, order: int) -> "Series":
-        if order < 2:
-            raise ValueError("order must be at least 2 to represent z")
-        return cls([0, 1] + [0] * (order - 2))
+        """z, truncated to `order`: at order 1 that is the zero series."""
+        return cls(([0, 1] + [0] * (order - 2))[:order])
 
     # -- basic views -------------------------------------------------------
 
@@ -133,13 +128,6 @@ class Series:
             raise ValueError("cannot extend a truncated series")
         return Series(self.coeffs[:order])
 
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (= order if all zero)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return self.order
-
     def integer_coefficients(self) -> list[int]:
         """The coefficients as a list of ints."""
         return list(self.coeffs)
@@ -150,8 +138,6 @@ class Series:
         if not isinstance(other, Series):
             other = Series.constant(other, self.order)
         return Series([p + q for p, q in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Series":
         return Series([-c for c in self.coeffs])

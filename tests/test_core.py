@@ -229,7 +229,7 @@ def test_dp_agrees_with_the_other_engines_past_the_grid(data):
         orientation = data.draw(st.sampled_from([Orientation.L2R, Orientation.R2L]))
     bound = None
     if route == "closed":
-        want = closed_count(n, k, kind, orientation)
+        want = closed_count(PathQuery(n, k, kind, orientation))
     elif route == "bounded":
         bound = data.draw(st.integers(k, k + 12), label="bound")
         want = bounded_gf(bound, k, kind, orientation).coefficients_int(n + 1)[n]
