@@ -13,9 +13,8 @@ import importlib
 #: Public names by defining submodule.
 _EXPORTS = {
     "core": (
-        "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "Path",
-        "PathQuery", "Step", "dp_count", "enumerate_count", "enumerate_profile",
-        "is_alternate", "max_height", "validate",
+        "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "PathQuery",
+        "dp_count", "enumerate_count", "enumerate_profile",
     ),
     "series": (
         "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
@@ -24,7 +23,7 @@ _EXPORTS = {
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
     "bounded": (
         "SystemMatrix", "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly",
-        "det_poly", "fibonacci_poly", "n_poly", "total_bounded_gf",
+        "det_poly", "n_poly", "total_bounded_gf",
     ),
     "alternate": (
         "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .core import EndKind, Orientation
-from .series import IntPoly, RationalGF, binom
+from .series import IntPoly, RationalGF
 
 _ZERO = IntPoly()
 _ONE = IntPoly([1])
@@ -92,20 +92,6 @@ def _bareiss(m: list[list[IntPoly]]) -> IntPoly:
     return det if sign == 1 else -det
 
 
-def cramer_n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntPoly:
-    """N_idx^t straight from its definition: the determinant of the system
-    matrix with column idx replaced by (-1, 0, ..., 0)^T.  Slow; used to
-    verify the recurrence route."""
-    matrix = build_system_matrix(t, orientation)
-    size = matrix.size
-    if not 1 <= idx <= size:
-        raise ValueError("column index out of range")
-    m = [list(row) for row in matrix.entries]
-    for r in range(size):
-        m[r][idx - 1] = _NEG1 if r == 0 else _ZERO
-    return _bareiss(m)
-
-
 def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """(x_t, x_{t+1}) -> (x_{t+1}, x_{t+2}) under the length recurrence
     x_{t+2} = -x_{t+1} - z x_t, which D_t and every Cramer numerator column
@@ -128,23 +114,6 @@ def d_poly(t: int) -> IntPoly:
     if t < 0:
         raise ValueError("bound must be nonnegative")
     return _nth(*_D_ANCHOR, t + 2)
-
-
-def fibonacci_poly(t: int) -> IntPoly:
-    """The alternating-binomial Fibonacci polynomial
-    F_t = 1 - C(t+1, 1) z + C(t, 2) z^2 - C(t-1, 3) z^3 + ...;
-    it satisfies D_t = (-1)^(t+1) F_t."""
-    if t < 0:
-        raise ValueError("index must be nonnegative")
-    coeffs = []
-    j = 0
-    while True:
-        c = binom(t + 2 - j, j)
-        if c == 0:
-            break
-        coeffs.append(c if j % 2 == 0 else -c)
-        j += 1
-    return IntPoly(coeffs)
 
 
 # initial N_k^t values for k in {1, 2, 3}, t in {0, 1}, shared by both

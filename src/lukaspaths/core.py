@@ -1,4 +1,4 @@
-"""Path model, validation, the brute-force enumeration oracle, and the
+"""The counting query, the brute-force enumeration oracle, and the
 dynamic-programming counter that every other engine is checked against.
 
 Left-to-right paths live in N^2, start at the origin, and use steps (1, r)
@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import accumulate, count, repeat
 from operator import add
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -60,133 +60,9 @@ class BFileError(ValueError):
     """Unreadable or malformed b-file."""
 
 
-class _Value:
-    """Immutable value over the fields named in ``__slots__``, compared,
-    hashed and printed field by field."""
-
-    __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({inner})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Step(_Value):
-    """A single lattice step (1, rise)."""
-
-    __slots__ = ("rise",)
-
-    def __init__(self, rise: int) -> None:
-        super().__init__(rise)
-
-    @property
-    def kind(self) -> EndKind:
-        if self.rise > 0:
-            return EndKind.UP
-        if self.rise < 0:
-            return EndKind.DOWN
-        return EndKind.FLAT
-
-    @staticmethod
-    def up(j: int = 1) -> "Step":
-        if j < 1:
-            raise ValueError("up-steps need a positive rise")
-        return Step(j)
-
-    @staticmethod
-    def flat() -> "Step":
-        return Step(0)
-
-    @staticmethod
-    def down(j: int = 1) -> "Step":
-        if j < 1:
-            raise ValueError("down-steps need a positive fall")
-        return Step(-j)
-
-
-class Path(_Value):
-    """A finite step sequence with its reading orientation."""
-
-    __slots__ = ("steps", "orientation")
-
-    def __init__(self, steps: Iterable[Step], orientation: Orientation = Orientation.L2R):
-        super().__init__(tuple(steps), orientation)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def heights(self) -> list[int]:
-        """Partial height sums after each step."""
-        out, h = [], 0
-        for s in self.steps:
-            h += s.rise
-            out.append(h)
-        return out
-
-
-def validate(path: Path) -> bool:
-    """True iff all partial heights stay >= 0 and every step belongs to the
-    orientation's step set."""
-    h = 0
-    for s in path.steps:
-        if path.orientation is Orientation.L2R:
-            if s.rise < -1:
-                return False
-        else:
-            if s.rise > 1:
-                return False
-        h += s.rise
-        if h < 0:
-            return False
-    return True
-
-
-def max_height(path: Path) -> int:
-    """Maximum partial height reached (0 for the empty path)."""
-    if not validate(path):
-        raise ValueError("invalid path")
-    top, h = 0, 0
-    for s in path.steps:
-        h += s.rise
-        if h > top:
-            top = h
-    return top
-
-
-def is_alternate(path: Path) -> bool:
-    """True iff no two consecutive steps share a direction class."""
-    prev: Optional[EndKind] = None
-    for s in path.steps:
-        k = s.kind
-        if k is prev:
-            return False
-        prev = k
-    return True
-
-
-class PathQuery(_Value):
-    """The universal counting request.
+class PathQuery:
+    """The universal counting request: an immutable value, compared, hashed
+    and printed field by field.
 
     ``k is None`` means "any end height"; that is only a finite family for
     right-to-left paths or height-bounded left-to-right paths, and only for
@@ -214,7 +90,29 @@ class PathQuery(_Value):
             raise ValueError("end height exceeds the height bound")
         if k is None and kind is not EndKind.ANY:
             raise EngineDomainError("totals over end heights are defined for kind=any only")
-        super().__init__(n, k, kind, orientation, bound, alternate)
+        for name, value in zip(self.__slots__, (n, k, kind, orientation, bound, alternate)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def is_infinite(self) -> bool:
         return (

@@ -58,6 +58,12 @@ def series_for_query(
         from .alternate import alt_series
 
         return alt_series(k, kind, order)
+    if bound is not None and (k is not None or orientation is Orientation.R2L):
+        # a bound above `reach` changes no coefficient: a path shorter than
+        # `order` falls back to k by ones left to right, and rises by ones
+        # right to left
+        reach = order - 1 + (k if orientation is Orientation.L2R else 0)
+        bound = min(bound, max(k or 0, reach))
     if k is None:
         if bound is not None:
             from .bounded import total_bounded_gf

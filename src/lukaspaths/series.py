@@ -101,7 +101,7 @@ class Series:
 
     @classmethod
     def constant(cls, value: int, order: int) -> "Series":
-        return cls([value] + [0] * (order - 1))
+        return cls(([value] + [0] * (order - 1))[:order])
 
     @classmethod
     def one(cls, order: int) -> "Series":

@@ -1,5 +1,6 @@
 """The arithmetic of tools/bench_pairs.py: quartiles, wins and the rules
-for a resolved gain and a bounded regression."""
+for a resolved gain and a bounded regression; and its refusal of pairs
+whose outputs differ."""
 import importlib.util
 import json
 from pathlib import Path
@@ -64,3 +65,31 @@ def test_parse_run_reads_the_result_line_and_the_digest():
     assert bench_pairs.parse_run(stdout) == {
         "metrics": {"wall_s": 2.5}, "digest": "abc123", "failed": 0, "attempted": 21,
     }
+
+
+@pytest.mark.parametrize("digests, failed, reason", [
+    (("abc", "abc"), (0, 0), None),
+    (("abc", "abd"), (0, 0), "small-queries: the runs' answer digests differ"),
+    # one failed job in each of the ten change runs
+    (("abc", "abc"), (0, 1), "small-queries: failed jobs {'parent': 0, 'change': 10}"),
+], ids=["equal", "digests-differ", "failed-jobs"])
+def test_pairs_that_compare_different_outputs_exit_1(tmp_path, monkeypatch, capsys,
+                                                     digests, failed, reason):
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for tree in trees.values():
+        tree.mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    run = {tree: {"metrics": {"wall_s": 1.0}, "digest": d, "failed": f, "attempted": 3}
+           for tree, d, f in zip(trees.values(), digests, failed)}
+    monkeypatch.setattr(bench_pairs, "bench_once", lambda tree, workload, seed: run[tree])
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--parent", str(trees["parent"]), "--change",
+                             str(trees["change"]), "--workload", "small-queries",
+                             "--seed", "1", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert bench_pairs.refusal(report) == reason
+    assert code == (0 if reason is None else 1)
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == (
+        [] if reason is None else [f"error: {reason}; {out} compares different outputs"])

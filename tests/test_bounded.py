@@ -1,15 +1,15 @@
 from itertools import islice
+from math import comb
 
 import pytest
 
 from lukaspaths.bounded import (
+    _bareiss,
     bounded_gf,
     bounded_gf_sweep,
     build_system_matrix,
-    cramer_n_poly,
     d_poly,
     det_poly,
-    fibonacci_poly,
     n_poly,
     total_bounded_gf,
 )
@@ -27,6 +27,21 @@ KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 
 def _rows(*rows):
     return tuple(tuple(r) for r in rows)
+
+
+def _cramer_n_poly(t, idx, orientation):
+    """N_idx^t straight from its definition: the determinant of the system
+    matrix with column idx replaced by (-1, 0, ..., 0)^T."""
+    m = [list(row) for row in build_system_matrix(t, orientation).entries]
+    for r, row in enumerate(m):
+        row[idx - 1] = NEG1 if r == 0 else ZERO
+    return _bareiss(m)
+
+
+def _fibonacci_poly(t):
+    """The alternating-binomial Fibonacci polynomial
+    F_t = 1 - C(t+1, 1) z + C(t, 2) z^2 - C(t-1, 3) z^3 + ..."""
+    return IntPoly([(-1) ** j * comb(t + 2 - j, j) for j in range(t // 2 + 2)])
 
 
 # the displayed 9x9 systems for bound t = 2
@@ -127,12 +142,12 @@ def test_det_same_for_both_orientations():
 
 
 def test_fibonacci_poly():
-    assert fibonacci_poly(0) == IntPoly([1, -1])
-    assert fibonacci_poly(3) == IntPoly([1, -4, 3])
-    assert fibonacci_poly(4) == IntPoly([1, -5, 6, -1])
+    assert _fibonacci_poly(0) == IntPoly([1, -1])
+    assert _fibonacci_poly(3) == IntPoly([1, -4, 3])
+    assert _fibonacci_poly(4) == IntPoly([1, -5, 6, -1])
     for t in range(0, 13):
         sign = (-1) ** (t + 1)
-        assert d_poly(t) == sign * fibonacci_poly(t), t
+        assert d_poly(t) == sign * _fibonacci_poly(t), t
 
 
 def test_n_poly_table():
@@ -150,7 +165,7 @@ def test_n_poly_spec_picks():
 def test_n_poly_matches_cramer_determinants(orientation):
     for t in range(0, 5):
         for idx in range(1, 3 * (t + 1) + 1):
-            assert n_poly(t, idx, orientation) == cramer_n_poly(t, idx, orientation), (
+            assert n_poly(t, idx, orientation) == _cramer_n_poly(t, idx, orientation), (
                 t, idx, orientation,
             )
 

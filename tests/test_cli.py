@@ -261,6 +261,20 @@ def test_count_deep_bound_gf_matches_dp(capsys):
     assert gf.strip() == dp.strip() == "87993316294"
 
 
+@pytest.mark.parametrize("argv, saturated", [
+    (("series", "--k", "1", "--order", "8"), "8"),
+    (("count", "--n", "5", "--total", "--orientation", "r2l"), "6"),
+])
+def test_a_bound_paths_cannot_reach_costs_nothing(capsys, argv, saturated):
+    # the gf engine sizes its system by the highest height a path reaches,
+    # not by the bound asked for
+    want = run_cli(capsys, *argv, "--bound", saturated)
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv, "--bound", "100000") == want
+    assert time.perf_counter() - start < 2
+    assert want[0] == EXIT_OK
+
+
 @pytest.mark.parametrize("n_list", ["", ","])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_height_rejects_empty_n_list(capsys, n_list, fmt):

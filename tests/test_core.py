@@ -11,60 +11,67 @@ from lukaspaths.core import (
     InfiniteFamilyError,
     OracleCapError,
     Orientation,
-    Path,
     PathQuery,
-    Step,
     _bound_sweep,
     dp_count,
     enumerate_count,
     enumerate_profile,
-    is_alternate,
-    max_height,
-    validate,
 )
 from lukaspaths.engines import closed_count
 from lukaspaths.series import catalan
 
-U, F, D = Step.up, Step.flat, Step.down
+#: A step's direction class, by the sign of its rise.
+_KIND = {1: EndKind.UP, 0: EndKind.FLAT, -1: EndKind.DOWN}
+
+
+def _kind(rise):
+    return _KIND[(rise > 0) - (rise < 0)]
+
+
+def _top(rises, orientation=Orientation.L2R, alternate=False):
+    """The paper's definition, independent of the oracle: a path is a
+    sequence of steps (1, r) with r >= -1 left to right and r <= 1 right to
+    left that never goes below height 0; an alternate path never takes two
+    steps of one direction class in a row.  The max height of `rises`, or
+    None if it is not such a path."""
+    h = top = 0
+    for i, r in enumerate(rises):
+        if r < -1 if orientation is Orientation.L2R else r > 1:
+            return None
+        if alternate and i and _kind(r) is _kind(rises[i - 1]):
+            return None
+        h += r
+        if h < 0:
+            return None
+        top = max(top, h)
+    return top
+
 
 # the length-18 example path: U5 D D F F D U2 D D D D U2 F U2 D D D D
-FIG_PATH = Path(
-    [U(5), D(), D(), F(), F(), D(), U(2), D(), D(), D(), D(), U(2), F(), U(2), D(), D(), D(), D()]
-)
+FIG_RISES = (5, -1, -1, 0, 0, -1, 2, -1, -1, -1, -1, 2, 0, 2, -1, -1, -1, -1)
 
 
 def test_validate_examples():
-    assert validate(FIG_PATH)
-    assert validate(Path([]))
-    assert not validate(Path([D()]))
+    assert _top(FIG_RISES) is not None
+    assert _top(()) == 0
+    assert _top((-1,)) is None
 
 
 def test_validate_checks_step_set():
-    assert not validate(Path([U(2), D(2)]))  # falls of size 2 are r2l-only
-    assert validate(Path([U(1), U(1), D(2)], Orientation.R2L))
-    assert not validate(Path([U(2)], Orientation.R2L))
+    assert _top((2, -2)) is None  # falls of size 2 are r2l-only
+    assert _top((1, 1, -2), Orientation.R2L) is not None
+    assert _top((2,), Orientation.R2L) is None
 
 
 def test_max_height():
-    assert max_height(FIG_PATH) == 5
-    assert max_height(Path([])) == 0
-    assert max_height(Path([U(1), D(), F()])) == 1
-    with pytest.raises(ValueError, match="invalid"):
-        max_height(Path([D()]))
+    assert _top(FIG_RISES) == 5
+    assert _top((1, -1, 0)) == 1
 
 
 def test_is_alternate():
-    assert is_alternate(Path([U(1), F(), D()]))
-    assert not is_alternate(Path([F(), F()]))
-    assert not is_alternate(Path([U(2), U(1), D()]))  # sizes differ, class clashes
-
-
-def test_step_kind_classification():
-    assert U(3).kind is EndKind.UP
-    assert F().kind is EndKind.FLAT
-    assert D().kind is EndKind.DOWN
-    with pytest.raises(ValueError):
-        Step.up(0)
+    assert _top((1, 0, -1), alternate=True) == 1
+    assert _top((0, 0), alternate=True) is None
+    assert _top((2, 1, -1), alternate=True) is None  # sizes differ, class clashes
 
 
 def test_path_query_invariants():
@@ -142,18 +149,16 @@ def test_profile_buckets_match_per_query_oracle():
 
 
 def _definitional_census(n, orientation, alternate):
-    """Every step sequence with rises in [-n, 2n] that the definitional model
-    accepts, bucketed by (end height, last step kind, max height); the empty
-    path's kind is None.  Those rises cover every length-n path that ends at
-    height n + 1 or lower, or never climbs above it: left to right a fall is
-    one unit, so no rise exceeds 2n, and right to left no fall exceeds n."""
-    steps = [Step(r) for r in range(-n, 2 * n + 1)]
+    """Every rise sequence in [-n, 2n]^n that `_top` accepts, bucketed by
+    (end height, last step kind, max height); the empty path's kind is None.
+    Those rises cover every length-n path that ends at height n + 1 or
+    lower, or never climbs above it: left to right a fall is one unit, so no
+    rise exceeds 2n, and right to left no fall exceeds n."""
     census = Counter()
-    for seq in product(steps, repeat=n):
-        path = Path(seq, orientation)
-        if validate(path) and (not alternate or is_alternate(path)):
-            end = path.heights()[-1] if n else 0
-            census[end, seq[-1].kind if n else None, max_height(path)] += 1
+    for rises in product(range(-n, 2 * n + 1), repeat=n):
+        top = _top(rises, orientation, alternate)
+        if top is not None:
+            census[sum(rises), _kind(rises[-1]) if n else None, top] += 1
     return census
 
 

@@ -113,6 +113,12 @@ def test_help_into_a_closed_stdout_exits_internal():
     assert (proc.returncode, proc.stderr) == (cli.EXIT_INTERNAL, BROKEN_PIPE)
 
 
+def test_importing_the_entry_module_runs_nothing():
+    proc = subprocess.run([sys.executable, "-c", "import lukaspaths.__main__; print('after')"],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "after\n", "")
+
+
 @BUFFERING
 def test_stdout_closed_at_start_up_exits_internal(unbuffered):
     # the command does not run: its answer has nowhere to go

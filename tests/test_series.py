@@ -27,6 +27,15 @@ def brute_convolution_power(base: list[int], k: int, order: int) -> list[int]:
     return out
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Series.constant(5, 0), lambda: Series.one(0), lambda: Series.z(0),
+    lambda: IntPoly([1, 2]).to_series(0),
+], ids=["constant", "one", "z", "to_series"])
+def test_order_zero_is_refused(make):
+    with pytest.raises(ValueError, match="at least its constant term"):
+        make()
+
+
 def test_catalan_gf_printed_row():
     assert catalan_gf(10).integer_coefficients() == CATALAN_ROW
 

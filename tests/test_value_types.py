@@ -1,9 +1,9 @@
-"""The value contract of `Step`, `Path` and `PathQuery`: equality and hashing
-by field, immutability, the repr text (error messages print queries), and
-`PathQuery`'s validation."""
+"""The value contract of `PathQuery`: equality and hashing by field, with
+its own class only, immutability, the repr text (error messages print
+queries), and validation."""
 import pytest
 
-from lukaspaths.core import EndKind, Orientation, Path, PathQuery, Step
+from lukaspaths.core import EndKind, Orientation, PathQuery
 
 QUERY_REPR = (
     "PathQuery(n=5, k=2, kind=<EndKind.UP: 'up'>, orientation=<Orientation.R2L: 'r2l'>, "
@@ -34,6 +34,8 @@ def test_path_query_equality_and_hashing():
     assert a != PathQuery(4, 1, bound=3)
     assert a != PathQuery(4, 1, bound=2, alternate=True)
     assert {a: "x"}[b] == "x"
+    fields = (4, 1, EndKind.ANY, Orientation.L2R, 2, False)
+    assert a != fields and a.__eq__(fields) is NotImplemented
 
 
 @pytest.mark.parametrize("field", ["n", "k", "kind", "orientation", "bound", "alternate"])
@@ -56,30 +58,3 @@ def test_path_query_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         PathQuery(**kwargs)
 
-
-def test_step_contract():
-    assert Step(2) == Step.up(2) and hash(Step(2)) == hash(Step.up(2))
-    assert Step(0) == Step.flat() and Step(-1) == Step.down()
-    assert Step(1) != Step(2)
-    assert repr(Step(-3)) == "Step(rise=-3)"
-    assert [Step(1).kind, Step(0).kind, Step(-2).kind] == [EndKind.UP, EndKind.FLAT, EndKind.DOWN]
-    with pytest.raises(AttributeError):
-        Step(1).rise = 2
-    with pytest.raises(ValueError, match="positive rise"):
-        Step.up(0)
-    with pytest.raises(ValueError, match="positive fall"):
-        Step.down(0)
-
-
-def test_path_contract():
-    steps = [Step(1), Step(0), Step(-1)]
-    p = Path(iter(steps))
-    assert p.steps == tuple(steps) and p.orientation is Orientation.L2R
-    assert len(p) == 3 and p.heights() == [1, 1, 0]
-    assert p == Path(steps) and hash(p) == hash(Path(tuple(steps)))
-    assert p != Path(steps, Orientation.R2L)
-    assert repr(Path([Step(1)], Orientation.R2L)) == (
-        "Path(steps=(Step(rise=1),), orientation=<Orientation.R2L: 'r2l'>)"
-    )
-    with pytest.raises(AttributeError):
-        p.steps = ()

@@ -16,7 +16,10 @@ The BENCH file holds the environment, both revisions, every pair's metrics,
 digests and failed counts, and per workload and metric: each side's median
 and quartiles, how many pairs the change won and lost (ties count for
 neither), and whether the change's median is better than the parent's by
-more than the parent's quartile spread.  Standard library only.
+more than the parent's quartile spread.  The file is written either way,
+but the tool exits 1 if any workload's answer digests differ, between the
+sides or between runs, or if any run failed jobs: such a file compares
+different outputs.  Standard library only.
 """
 from __future__ import annotations
 
@@ -62,6 +65,17 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "within_bound": -gain <= bound * abs(pmed),
         "gain_resolved": wins * 10 >= 9 * len(parent) and gain > pq3 - pq1,
     }
+
+
+def refusal(report: dict) -> Optional[str]:
+    """Why the report's sides cannot be compared, or None: a workload whose
+    runs printed answers of different digests, or failed jobs."""
+    for workload, result in report["workloads"].items():
+        if not result["equal_digests"]:
+            return f"{workload}: the runs' answer digests differ"
+        if any(result["failed"].values()):
+            return f"{workload}: failed jobs {result['failed']}"
+    return None
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -145,6 +159,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             },
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    reason = refusal(report)
+    if reason:
+        print(f"error: {reason}; {args.out} compares different outputs", file=sys.stderr)
+        return 1
     return 0
 
 
