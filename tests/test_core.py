@@ -20,12 +20,9 @@ from lukaspaths.core import (
 from lukaspaths.engines import closed_count
 from lukaspaths.series import catalan
 
-#: A step's direction class, by the sign of its rise.
-_KIND = {1: EndKind.UP, 0: EndKind.FLAT, -1: EndKind.DOWN}
-
-
 def _kind(rise):
-    return _KIND[(rise > 0) - (rise < 0)]
+    """A step's direction class, by the sign of its rise."""
+    return EndKind.UP if rise > 0 else EndKind.FLAT if rise == 0 else EndKind.DOWN
 
 
 def _top(rises, orientation=Orientation.L2R, alternate=False):
@@ -47,6 +44,9 @@ def _top(rises, orientation=Orientation.L2R, alternate=False):
     return top
 
 
+# `_top` is the reference of the brute-force oracle test below, so these
+# tests pin it on the paper's example path and on the step-set and
+# alternation rules.
 # the length-18 example path: U5 D D F F D U2 D D D D U2 F U2 D D D D
 FIG_RISES = (5, -1, -1, 0, 0, -1, 2, -1, -1, -1, -1, 2, 0, 2, -1, -1, -1, -1)
 
