@@ -111,13 +111,12 @@ _nonnegative_int = _int_at_least(0, "nonnegative")
 _positive_int = _int_at_least(1, "positive")
 
 
-def _add_query_flags(p: argparse.ArgumentParser, with_total: bool = True) -> None:
+def _add_query_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_nonnegative_int, default=None, help="end height")
-    if with_total:
-        p.add_argument(
-            "--total", action="store_true",
-            help="sum over all end heights (instead of --k)",
-        )
+    p.add_argument(
+        "--total", action="store_true",
+        help="sum over all end heights (instead of --k)",
+    )
     p.add_argument(
         "--kind", choices=[k.value for k in EndKind], default="any",
         help="final-step kind filter (default any)",
@@ -135,7 +134,7 @@ def _add_query_flags(p: argparse.ArgumentParser, with_total: bool = True) -> Non
 
 def _query_fields(args: argparse.Namespace) -> dict:
     k = args.k
-    if getattr(args, "total", False):
+    if args.total:
         if args.k is not None:
             raise EngineDomainError("--total and --k are mutually exclusive")
         k = None
@@ -181,10 +180,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     from .engines import count_by_engine, engine_counts
 
     query = PathQuery(n=args.n, **_query_fields(args))
-    if query.is_infinite():
-        raise InfiniteFamilyError(
-            "infinite family: unbounded l2r query with no end height"
-        )
     if args.engine == "all":
         results = engine_counts(query, args.oracle_cap)
         if len(set(results.values())) != 1:

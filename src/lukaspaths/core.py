@@ -64,9 +64,10 @@ class PathQuery:
     """The universal counting request: an immutable value, compared, hashed
     and printed field by field.
 
-    ``k is None`` means "any end height"; that is only a finite family for
-    right-to-left paths or height-bounded left-to-right paths, and only for
-    kind Any.
+    ``k is None`` means "any end height", for kind Any only.  One up-step
+    reaches any height, so left to right that family is finite only under a
+    height bound: a query with neither raises `InfiniteFamilyError`, and
+    every query that is built has a finite answer.
     """
 
     __slots__ = ("n", "k", "kind", "orientation", "bound", "alternate")
@@ -90,6 +91,8 @@ class PathQuery:
             raise ValueError("end height exceeds the height bound")
         if k is None and kind is not EndKind.ANY:
             raise EngineDomainError("totals over end heights are defined for kind=any only")
+        if k is None and bound is None and orientation is Orientation.L2R:
+            raise InfiniteFamilyError("infinite family: unbounded l2r query with no end height")
         for name, value in zip(self.__slots__, (n, k, kind, orientation, bound, alternate)):
             object.__setattr__(self, name, value)
 
@@ -113,13 +116,6 @@ class PathQuery:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def is_infinite(self) -> bool:
-        return (
-            self.orientation is Orientation.L2R
-            and self.k is None
-            and self.bound is None
-        )
 
 
 def _census(
@@ -190,12 +186,10 @@ def enumerate_count(query: PathQuery, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
     Step sizes are pruned to those that keep the target end height (or the
     bound) reachable, which makes the infinite step alphabet finite for every
-    admissible query.
+    query.
     """
     if query.n > cap:
         raise OracleCapError(f"oracle cap exceeded: n={query.n} > {cap}")
-    if query.is_infinite():
-        raise InfiniteFamilyError("infinite family: unbounded l2r query with no end height")
     census = _census(query.n, query.orientation, query.alternate, query.k, query.bound)
     return _tally(census, query)
 
@@ -240,8 +234,6 @@ def dp_count(query: PathQuery) -> int:
     (`_kind_step`); an alternate walk splits every step and feeds each kind
     from the other two.
     """
-    if query.is_infinite():
-        raise InfiniteFamilyError("infinite family: unbounded l2r query with no end height")
     n, k, bound, alternate = query.n, query.k, query.bound, query.alternate
     if n == 0:
         return 1 if query.kind is EndKind.ANY and k in (0, None) else 0

@@ -42,13 +42,8 @@ def series_for_query(
 ) -> Series:
     """The generating-function engine: exact series whose coefficient n
     counts the length-n paths of the query.  ``k is None`` sums over all end
-    heights (kind must be Any)."""
-    if k is None and kind is not EndKind.ANY:
-        raise EngineDomainError("totals over end heights are defined for kind=any only")
-    if k is None and bound is None and orientation is Orientation.L2R:
-        raise InfiniteFamilyError(
-            "infinite family: unbounded l2r totals over end heights"
-        )
+    heights.  The fields are checked as `PathQuery` checks them."""
+    PathQuery(order - 1, k, kind, orientation, bound, alternate)
     if alternate:
         if orientation is not Orientation.L2R or bound is not None or k is None:
             raise EngineDomainError(
@@ -84,10 +79,8 @@ def closed_count(query: PathQuery) -> int:
     if query.alternate or query.bound is not None:
         raise EngineDomainError("closed forms cover unbounded non-alternate queries only")
     n, k, kind = query.n, query.k, query.kind
-    if k is None:
-        if query.orientation is Orientation.R2L:
-            return catalan(n + 1)
-        raise InfiniteFamilyError("infinite family: unbounded l2r totals over end heights")
+    if k is None:  # right to left: `PathQuery` refuses the l2r total
+        return catalan(n + 1)
     if query.orientation is Orientation.L2R:
         return prefix_count(n, k, kind)
     return suffix_count(n, k, kind)
@@ -106,7 +99,7 @@ def count_by_engine(engine: str, query: PathQuery, oracle_cap: int = DEFAULT_ORA
             query.k, query.kind, query.orientation, query.bound, query.alternate,
             order=query.n + 1,
         )
-        value = series.integer_coefficients()[query.n]
+        value = series.coeffs[query.n]
         if query.n == 0 and query.k == 0 and query.kind is not EndKind.ANY:
             # the series families charge the empty path to the k = 0 up state;
             # query-level kind counts charge it to Any only
@@ -160,8 +153,9 @@ def cross_engine_grid(n_max: int = 9) -> Optional[str]:
                 for k in (None, *range(0, n + 1)):
                     for kind in _KINDS[:1] if k is None else _KINDS:
                         for bound in (None, *range(k or 0, n + 1)):
-                            query = PathQuery(n, k, kind, orientation, bound, alternate)
-                            if query.is_infinite():
+                            try:
+                                query = PathQuery(n, k, kind, orientation, bound, alternate)
+                            except InfiniteFamilyError:
                                 continue
                             got = engine_counts(query, _PER_QUERY_ORACLE_N_MAX)
                             got["census"] = _tally(profile, query)

@@ -99,6 +99,18 @@ def test_series_requires_k_or_total(capsys):
     assert rc == EXIT_DOMAIN and "--k or --total" in err
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--total"], EXIT_INFINITE),
+    (["--k", "3", "--bound", "1"], EXIT_DOMAIN),
+    (["--k", "3", "--bound", "1", "--alternate"], EXIT_DOMAIN),
+], ids=["total", "k-above-bound", "k-above-bound-alternate"])
+def test_series_and_count_refuse_a_bad_query_alike(capsys, flags, code):
+    series = run_cli(capsys, "series", *flags, "--order", "4")
+    count = run_cli(capsys, "count", "--n", "3", *flags)
+    assert series == count == (code, "", series[2])
+    assert series[2].count("\n") == 1 and series[2].startswith("error: ")
+
+
 def test_series_alternate_needs_l2r_unbounded(capsys):
     rc, _, err = run_cli(capsys, "series", "--k", "1", "--alternate",
                          "--orientation", "r2l", "--order", "4")

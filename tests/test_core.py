@@ -79,8 +79,9 @@ def test_path_query_invariants():
         PathQuery(3, k=4, bound=2)
     with pytest.raises(ValueError):
         PathQuery(-1, 0)
-    assert PathQuery(3, None, bound=None, orientation=Orientation.L2R).is_infinite()
-    assert not PathQuery(3, None, orientation=Orientation.R2L).is_infinite()
+    with pytest.raises(InfiniteFamilyError, match="infinite family"):
+        PathQuery(3, None, bound=None, orientation=Orientation.L2R)
+    PathQuery(3, None, orientation=Orientation.R2L)
 
 
 def test_oracle_examples():
@@ -172,8 +173,9 @@ def test_oracle_matches_definitional_model(orientation, alternate):
         for k in [None, *range(0, n + 2)]:
             for kind in KINDS[:1] if k is None else KINDS:
                 for bound in [None, *range(k or 0, n + 2)]:
-                    q = PathQuery(n, k, kind, orientation, bound, alternate)
-                    if q.is_infinite():
+                    try:
+                        q = PathQuery(n, k, kind, orientation, bound, alternate)
+                    except InfiniteFamilyError:
                         continue
                     want = sum(
                         c for (h, last, top), c in census.items()

@@ -5,10 +5,17 @@ quietly dropping out of `count --engine all` and the `selftest` grid."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lukaspaths.cli import EXIT_OK, main
-from lukaspaths.core import EndKind, Orientation, PathQuery
-from lukaspaths.engines import engine_counts
+from lukaspaths.core import (
+    EndKind,
+    EngineDomainError,
+    InfiniteFamilyError,
+    Orientation,
+    PathQuery,
+)
+from lukaspaths.engines import engine_counts, series_for_query
 
 
 def _grid(n_max: int):
@@ -19,9 +26,11 @@ def _grid(n_max: int):
                 for k in (None, *range(n + 1)):
                     for kind in (EndKind.ANY,) if k is None else EndKind:
                         for bound in (None, *range(k or 0, n + 2)):
-                            query = PathQuery(n, k, kind, orientation, bound, alternate)
-                            if not query.is_infinite():
-                                yield query
+                            try:
+                                query = PathQuery(n, k, kind, orientation, bound, alternate)
+                            except InfiniteFamilyError:
+                                continue
+                            yield query
 
 
 def _domains(query: PathQuery, oracle_cap: int) -> list[str]:
@@ -56,3 +65,41 @@ def test_every_engine_answers_its_whole_domain(oracle_cap):
 def test_count_all_reports_the_engines_that_answered(capsys, argv, engines):
     assert main(["count", "--n", "6", *argv, "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["meta"]["engines"] == engines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    k=st.none() | st.integers(0, 10),
+    kind=st.sampled_from(EndKind),
+    orientation=st.sampled_from(Orientation),
+    bound=st.none() | st.integers(0, 12),
+    alternate=st.booleans(),
+)
+def test_the_query_is_the_only_finiteness_check(n, k, kind, orientation, bound, alternate):
+    """`PathQuery` refuses exactly the infinite family; every query it
+    builds has an answer on which the engines agree, and the series engine,
+    given the same fields, refuses what `PathQuery` refuses, in its words,
+    and otherwise at most its own domain."""
+    fields = (k, kind, orientation, bound, alternate)
+    infinite = k is None and bound is None and orientation is Orientation.L2R
+    try:
+        query = PathQuery(n, *fields)
+    except ValueError as exc:
+        if isinstance(exc, InfiniteFamilyError):
+            assert infinite and kind is EndKind.ANY
+        elif isinstance(exc, EngineDomainError):
+            assert k is None and kind is not EndKind.ANY
+        else:
+            assert k is not None and bound is not None and k > bound
+        with pytest.raises(ValueError) as refused:
+            series_for_query(*fields, order=n + 1)
+        assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+        return
+    assert not infinite
+    counts = engine_counts(query, 6)
+    assert counts and len(set(counts.values())) == 1, (query, counts)
+    try:
+        series_for_query(*fields, order=n + 1)
+    except EngineDomainError:
+        pass

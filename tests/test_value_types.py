@@ -3,7 +3,7 @@ its own class only, immutability, the repr text (error messages print
 queries), and validation."""
 import pytest
 
-from lukaspaths.core import EndKind, Orientation, PathQuery
+from lukaspaths.core import EndKind, InfiniteFamilyError, Orientation, PathQuery
 
 QUERY_REPR = (
     "PathQuery(n=5, k=2, kind=<EndKind.UP: 'up'>, orientation=<Orientation.R2L: 'r2l'>, "
@@ -12,13 +12,15 @@ QUERY_REPR = (
 
 
 def test_path_query_defaults_and_repr():
-    q = PathQuery(3)
+    with pytest.raises(InfiniteFamilyError):
+        PathQuery(3)  # the defaults alone name the infinite l2r family
+    q = PathQuery(3, bound=2)
     assert (q.n, q.k, q.kind, q.orientation, q.bound, q.alternate) == (
-        3, None, EndKind.ANY, Orientation.L2R, None, False
+        3, None, EndKind.ANY, Orientation.L2R, 2, False
     )
     assert repr(q) == (
         "PathQuery(n=3, k=None, kind=<EndKind.ANY: 'any'>, "
-        "orientation=<Orientation.L2R: 'l2r'>, bound=None, alternate=False)"
+        "orientation=<Orientation.L2R: 'l2r'>, bound=2, alternate=False)"
     )
     full = PathQuery(5, 2, EndKind.UP, Orientation.R2L, 4, True)
     assert repr(full) == str(full) == f"{full}" == QUERY_REPR
