@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterator, NamedTuple, Optional
 
-from .core import FAMILIES, EndKind, InfiniteFamilyError, Orientation, _bound_sweep
+from .core import FAMILIES, EndKind, Orientation, PathQuery, _bound_sweep
 
 
 class HeightStats(NamedTuple):
@@ -29,17 +29,13 @@ class HeightStats(NamedTuple):
 
 
 def _family_model(family: str, k: Optional[int]) -> tuple[Optional[int], Orientation]:
-    """End height (None: any) and orientation of a family's bounded counts."""
-    if family == "return-to-zero":
-        return 0, Orientation.L2R
-    if family == "prefix-at-k":
-        return k, Orientation.L2R
-    if family == "suffix-at-k":
-        return k, Orientation.R2L
-    return None, Orientation.R2L
+    """End height (None: any) and orientation of a family's bounded counts;
+    `k` is the family's end height, None for the families without one."""
+    end = 0 if family == "return-to-zero" else k
+    return end, Orientation.R2L if family.startswith("suffix") else Orientation.L2R
 
 
-def _gf_bounded_counts(n: int, family: str, k: Optional[int]) -> Iterator[int]:
+def _gf_bounded_counts(n: int, end: Optional[int], orientation: Orientation) -> Iterator[int]:
     """c_t(n) for t = 0, 1, ...: zero below the end height, then the n-th
     coefficient of each bound's generating function, swept up in t.
 
@@ -50,8 +46,7 @@ def _gf_bounded_counts(n: int, family: str, k: Optional[int]) -> Iterator[int]:
     below that power and runs the quotient recurrence only above it."""
     from .bounded import bounded_gf_sweep
 
-    end, orientation = _family_model(family, k)
-    yield from repeat(0, k or 0)
+    yield from repeat(0, end or 0)
     gfs = bounded_gf_sweep(end, EndKind.ANY, orientation)
     gf, nxt = next(gfs), next(gfs)
     w = (nxt.num * gf.den - gf.num * nxt.den).coeffs
@@ -77,14 +72,13 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     its own count at t = n + k.  They cross-check each other in the tests,
     and the closed forms check those sizes there.  `k` is the end
     height of the *-at-k families and is rejected for the others; a
-    suffix-at-k family with k > n is empty and rejected too.
+    suffix-at-k family with k > n is empty and rejected too.  The family's
+    query is then checked as `PathQuery` checks it: a negative k raises
+    ValueError, and prefix-any (left to right, no end height, no bound) is
+    infinite and raises `InfiniteFamilyError`.
     """
     if n < 1:
         raise ValueError("length must be positive")
-    if family == "prefix-any":
-        raise InfiniteFamilyError(
-            "infinite family: left-to-right paths with unspecified end height"
-        )
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family in ("prefix-at-k", "suffix-at-k"):
@@ -97,8 +91,9 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     if route not in ("gf", "dp"):
         raise ValueError("route must be 'gf' or 'dp'")
 
-    counts = (_gf_bounded_counts(n, family, k) if route == "gf"
-              else _bound_sweep(n, *_family_model(family, k)))
+    end, orientation = _family_model(family, k)
+    PathQuery(n, end, EndKind.ANY, orientation)
+    counts = (_gf_bounded_counts if route == "gf" else _bound_sweep)(n, end, orientation)
     # No member is higher than n + k: right to left every rise is a unit
     # step, and left to right every height above k costs a unit fall.
     c = [*islice(counts, n + (k or 0) + 1)]

@@ -133,13 +133,14 @@ def _add_query_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _query_fields(args: argparse.Namespace) -> dict:
-    k = args.k
-    if args.total:
-        if args.k is not None:
-            raise EngineDomainError("--total and --k are mutually exclusive")
-        k = None
+    """The query fields of `count`, `series` or `check`, which take exactly
+    one of --k and --total."""
+    if args.total and args.k is not None:
+        raise EngineDomainError("--total and --k are mutually exclusive")
+    if not args.total and args.k is None:
+        raise EngineDomainError(f"{args.command} needs --k or --total")
     return dict(
-        k=k,
+        k=args.k,
         kind=EndKind(args.kind),
         orientation=Orientation(args.orientation),
         bound=args.bound,
@@ -200,17 +201,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _series_values(fields: dict, total: bool, order: int) -> list[int]:
+def _series_values(args: argparse.Namespace) -> list[int]:
     from .engines import series_for_query
 
-    if fields["k"] is None and not total:
-        raise EngineDomainError("series needs --k or --total")
-    series = series_for_query(order=order, **fields)
-    return series.integer_coefficients()
+    return series_for_query(order=args.order, **_query_fields(args)).integer_coefficients()
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    values = _series_values(_query_fields(args), args.total, args.order)
+    values = _series_values(args)
     meta = {"engines": ["gf"], "oracle_cap": None, "order": args.order, "precision": None}
     _emit_record(args, "gf", values, meta)
     return EXIT_OK
@@ -225,7 +223,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .engines import compare_bfile, read_bfile
 
     table = read_bfile(args.bfile)
-    values = _series_values(_query_fields(args), args.total, args.order)
+    values = _series_values(args)
     ncomp, mismatches = compare_bfile(table, values, shift=args.shift, start=args.start)
     for i, got, want in mismatches:
         print(f"index {i}: computed {got} != fixture {want}")

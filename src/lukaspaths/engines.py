@@ -38,7 +38,8 @@ def series_for_query(
     orientation: Orientation = Orientation.L2R,
     bound: Optional[int] = None,
     alternate: bool = False,
-    order: int = 16,
+    *,
+    order: int,
 ) -> Series:
     """The generating-function engine: exact series whose coefficient n
     counts the length-n paths of the query.  ``k is None`` sums over all end

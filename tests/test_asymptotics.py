@@ -130,7 +130,8 @@ def test_each_routes_family_size_is_the_closed_form():
             else:
                 count = prefix_count if orientation is Orientation.L2R else suffix_count
                 want = count(n, end, EndKind.ANY)
-            for counts in (_gf_bounded_counts(n, family, k), _bound_sweep(n, end, orientation)):
+            for sweep in (_gf_bounded_counts, _bound_sweep):
+                counts = sweep(n, end, orientation)
                 assert next(islice(counts, n + (k or 0), None)) == want, (family, k, n)
 
 
@@ -161,7 +162,7 @@ def test_gf_counts_match_each_bounds_expansion():
                 reference.append(bounded_gf(t, end, EndKind.ANY, orientation).coefficients_int(31))
         for n in range(0, 31):
             stop = n + (k or 0) + 2
-            got = list(islice(_gf_bounded_counts(n, family, k), stop))
+            got = list(islice(_gf_bounded_counts(n, end, orientation), stop))
             assert got == [row[n] for row in reference[:stop]], (family, k, n)
 
 
@@ -181,6 +182,13 @@ def test_casoratian_valuation_rises_by_one_per_bound():
 def test_avg_height_infinite_family():
     with pytest.raises(InfiniteFamilyError):
         avg_height(8, "prefix-any")
+
+
+@pytest.mark.parametrize("route", ["gf", "dp"])
+@pytest.mark.parametrize("family", ["prefix-at-k", "suffix-at-k"])
+def test_avg_height_rejects_a_negative_end_height(family, route):
+    with pytest.raises(ValueError, match="^end height must be nonnegative$"):
+        avg_height(5, family, k=-1, route=route)
 
 
 def test_avg_height_argument_checks():

@@ -111,6 +111,20 @@ def test_series_and_count_refuse_a_bad_query_alike(capsys, flags, code):
     assert series[2].count("\n") == 1 and series[2].startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [["--orientation", "r2l"], ["--bound", "2"], []],
+                         ids=["r2l", "bounded", "l2r"])
+def test_count_needs_k_or_total(capsys, flags):
+    # a count with neither flag is refused, not read as a total
+    assert run_cli(capsys, "count", "--n", "5", *flags) == (
+        EXIT_DOMAIN, "", "error: count needs --k or --total\n")
+
+
+def test_check_names_itself_when_k_and_total_are_missing(capsys):
+    bfile = str(bundled_bfile("b000108.txt"))
+    assert run_cli(capsys, "check", "--bfile", bfile, "--order", "5") == (
+        EXIT_DOMAIN, "", "error: check needs --k or --total\n")
+
+
 def test_series_alternate_needs_l2r_unbounded(capsys):
     rc, _, err = run_cli(capsys, "series", "--k", "1", "--alternate",
                          "--orientation", "r2l", "--order", "4")
@@ -220,8 +234,11 @@ def test_unexpected_exception_exits_internal(capsys):
 
 
 def test_height_infinite_family(capsys):
-    rc, _, err = run_cli(capsys, "height", "--family", "prefix-any", "--n-list", "4")
-    assert rc == EXIT_INFINITE and "infinite family" in err
+    # refused in count's words
+    height = run_cli(capsys, "height", "--family", "prefix-any", "--n-list", "4")
+    count = run_cli(capsys, "count", "--n", "4", "--total")
+    assert height == count == (
+        EXIT_INFINITE, "", "error: infinite family: unbounded l2r query with no end height\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -2,11 +2,14 @@
 before computing.  These tests pin which engines answer each query shape, so
 an engine that starts refusing a query it should answer fails here instead of
 quietly dropping out of `count --engine all` and the `selftest` grid."""
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lukaspaths
 from lukaspaths.cli import EXIT_OK, main
 from lukaspaths.core import (
     EndKind,
@@ -103,3 +106,28 @@ def test_the_query_is_the_only_finiteness_check(n, k, kind, orientation, bound, 
         series_for_query(*fields, order=n + 1)
     except EngineDomainError:
         pass
+
+
+def _raise_sites(name: str) -> list[str]:
+    """`module.qualified.function` of every `raise name(...)` in the package."""
+    sites = []
+
+    def visit(node: ast.AST, where: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).rpartition(".")[2] == name:
+                    sites.append(".".join(where))
+            visit(child, where)
+
+    for path in sorted(Path(lukaspaths.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return sites
+
+
+def test_only_the_query_raises_infinite_family():
+    """No entry point states the finiteness rule again: it asks `PathQuery`."""
+    assert _raise_sites("InfiniteFamilyError") == ["core.PathQuery.__init__"]

@@ -71,7 +71,15 @@ def test_each_differing_stream_is_one_line(tmp_path, capsys):
     assert "stderr: lukas selftest --quick: parent '' change 'oops\\n'" in lines
     series = [line for line in lines if line.startswith("stderr: lukas series --total")]
     assert series and all(line.endswith("parent '' change 'warning\\n'") for line in series)
-    assert len(lines) == 3 + len(series) + 1 and lines[-1].endswith(" differing streams")
+    # then one tally line per distinct (stream, parent, change), most frequent first
+    assert lines[3 + len(series):] == [
+        f"{len(series)} x stderr: parent '' change 'warning\\n'",
+        "1 x exit: parent 0 change 5",
+        "1 x stdout: parent '5\\n' change 'FAIL\\n'",
+        "1 x stderr: parent '' change 'oops\\n'",
+        lines[-1],
+    ]
+    assert lines[-1].endswith(f" {3 + len(series)} differing streams")
 
 
 def test_environment_is_named_in_the_line():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lukaspaths.alternate import alt_series
-from lukaspaths.bounded import n_poly
+from lukaspaths.bounded import bounded_gf, n_poly, total_bounded_gf
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.engines import series_for_query
@@ -200,6 +200,45 @@ def test_series_for_query_is_integral_for_every_family():
                     assert is_integral(s), (k, kind, "alternate")
                     built += 1
     assert built > 60
+
+
+# -- exact gf identities at order 64 -----------------------------------------
+
+ORDER = 64
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_a_bound_above_reach_gives_the_unbounded_series(orientation):
+    """Below order 64 no path climbs past k + 63 left to right (it must fall
+    back to k by unit steps) or past 63 right to left (it rises by ones), so
+    that bound's rational gf expands to the unbounded series."""
+    for k in range(7):
+        t = k + ORDER - 1 if orientation is Orientation.L2R else max(k, ORDER - 1)
+        for kind in KINDS:
+            want = series_for_query(k, kind, orientation, order=ORDER)
+            assert bounded_gf(t, k, kind, orientation).expand(ORDER) == want, (k, kind)
+    if orientation is Orientation.R2L:
+        want = series_for_query(None, EndKind.ANY, orientation, order=ORDER)
+        assert total_bounded_gf(ORDER - 1, orientation).expand(ORDER) == want
+
+
+def _kind_partition_holds(series_of_kind) -> bool:
+    """Any = Up + Flat + Down, coefficient by coefficient."""
+    parts = [series_of_kind(kind).integer_coefficients()
+             for kind in (EndKind.UP, EndKind.FLAT, EndKind.DOWN)]
+    whole = series_of_kind(EndKind.ANY).integer_coefficients()
+    return whole == [sum(column) for column in zip(*parts)]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_every_family_splits_by_last_step_kind(k):
+    for family in (prefix_series, suffix_series, alt_series):
+        assert _kind_partition_holds(lambda kind: family(k, kind, ORDER)), family.__name__
+    for orientation in Orientation:
+        for t in (k, k + 3):
+            assert _kind_partition_holds(
+                lambda kind: bounded_gf(t, k, kind, orientation).expand(ORDER)
+            ), (orientation, t)
 
 
 def test_n_poly_deep_columns_need_no_recursion():

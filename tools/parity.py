@@ -15,8 +15,10 @@ missing and malformed b-files; `height` for every family and route;
 `selftest --quick`; and the usage and domain errors.
 
 One line is printed per differing (argv, stream), where the stream is
-`exit`, `stdout` or `stderr`, then a summary line.  The tool exits 1 if any
-case differs.  Standard library only.
+`exit`, `stdout` or `stderr`; then one tally line per distinct (stream,
+parent value, change value), `N x stream: parent ... change ...`, most
+frequent first; then a summary line.  The tool exits 1 if any case differs.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -26,9 +28,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from itertools import product
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 #: One invocation: the argv after `lukas`, and the environment it adds.
 Case = tuple[list[str], dict[str, str]]
@@ -185,16 +188,29 @@ def run_tree(tree: Path, cases: list[Case]) -> list[Result]:
     return [tuple(result) for result in record["results"]]
 
 
-def differences(cases: list[Case], parent: list[Result], change: list[Result]) -> list[str]:
-    """One line per (case, stream) whose results differ."""
-    lines = []
+def _diffs(cases: list[Case], parent: list[Result],
+           change: list[Result]) -> Iterator[tuple[str, str, object, object]]:
+    """(stream, command, parent value, change value) of each differing stream."""
     for (argv, env), old, new in zip(cases, parent, change):
         command = " ".join(f"{name}={value!r}" for name, value in env.items())
         command = f"{command} lukas {' '.join(argv)}".strip()
         for stream, a, b in zip(STREAMS, old, new):
             if a != b:
-                lines.append(f"{stream}: {command}: parent {a!r} change {b!r}")
-    return lines
+                yield stream, command, a, b
+
+
+def differences(cases: list[Case], parent: list[Result], change: list[Result]) -> list[str]:
+    """One line per (case, stream) whose results differ."""
+    return [f"{stream}: {command}: parent {a!r} change {b!r}"
+            for stream, command, a, b in _diffs(cases, parent, change)]
+
+
+def tally(cases: list[Case], parent: list[Result], change: list[Result]) -> list[str]:
+    """One line per distinct (stream, parent value, change value), with the
+    number of cases that differ that way, most frequent first."""
+    counts = Counter((stream, a, b) for stream, _, a, b in _diffs(cases, parent, change))
+    return [f"{n} x {stream}: parent {a!r} change {b!r}"
+            for (stream, a, b), n in counts.most_common()]
 
 
 def main(argv: Optional[list[str]] = None,
@@ -209,7 +225,7 @@ def main(argv: Optional[list[str]] = None,
         parent = runner(args.parent.resolve(), cases)
         change = runner(args.change.resolve(), cases)
     lines = differences(cases, parent, change)
-    for line in lines:
+    for line in lines + tally(cases, parent, change):
         print(line)
     print(f"{len(cases)} invocations, {len(lines)} differing streams")
     return 1 if lines else 0
