@@ -12,6 +12,7 @@ from lukaspaths.core import (
     OracleCapError,
     Orientation,
     PathQuery,
+    STEP_KINDS,
     _bound_sweep,
     dp_count,
     enumerate_count,
@@ -182,6 +183,72 @@ def test_oracle_matches_definitional_model(orientation, alternate):
                         if (k is None or h == k) and kind in (EndKind.ANY, last)
                         and (bound is None or top <= bound)
                     )
+                    assert enumerate_count(q) == want, q
+
+
+def _walked_census(n, orientation, alternate, k=None, bound=None):
+    """The oracle's census as one plain walk, without the tables of its last
+    steps: every path is walked step by step to its end and counted there,
+    by (end height, last step kind, max height).  The pruning is the
+    oracle's: after a step from height h with ``rem`` steps still to take,
+    the new height lies in [max(h - 1, 0), min(bound, hi + rem)] left to
+    right and [max(lo - rem, 0), min(h + 1, bound)] right to left, with lo
+    k (else 0) and hi k, else the bound, else n."""
+    l2r = orientation is Orientation.L2R
+    lo = k or 0
+    hi = k if k is not None else bound if bound is not None else n
+    up, flat, down = range(3)  # indices into STEP_KINDS
+    buckets = {}
+    get = buckets.get
+
+    def walk(i, h, top, last):
+        rem = n - i - 1
+        if l2r:
+            first, stop = (h - 1 if h else 0), hi + rem
+        else:
+            first, stop = (lo - rem if lo > rem else 0), h + 1
+        if bound is not None and stop > bound:
+            stop = bound
+        for nh in range(first, stop + 1):
+            kind = up if nh > h else flat if nh == h else down
+            if alternate and kind == last:
+                continue
+            if rem:
+                walk(i + 1, nh, nh if nh > top else top, kind)
+            else:
+                key = (nh, kind, nh if nh > top else top)
+                buckets[key] = get(key, 0) + 1
+
+    if n:
+        walk(0, 0, 0, None)
+    return {(h, STEP_KINDS[last], top): c for (h, last, top), c in buckets.items()}
+
+
+@pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
+@pytest.mark.parametrize("alternate", [False, True])
+def test_oracle_tables_match_the_plain_walk(orientation, alternate):
+    """The census reads each path's last steps from a table: it must bucket
+    exactly the paths the plain walk counts one by one, at lengths up to,
+    below and past the table's three steps."""
+    for n in range(0, 9):
+        assert enumerate_profile(n, orientation, alternate) == _walked_census(
+            n, orientation, alternate), n
+    for n in range(0, 7):
+        for k in [None, *range(0, n + 2)]:
+            for bound in [None, *range(k or 0, n + 2)]:
+                census = _walked_census(n, orientation, alternate, k, bound)
+                for kind in KINDS[:1] if k is None else KINDS:
+                    try:
+                        q = PathQuery(n, k, kind, orientation, bound, alternate)
+                    except InfiniteFamilyError:
+                        continue
+                    want = sum(
+                        c for (h, last, top), c in census.items()
+                        if (k is None or h == k) and kind in (EndKind.ANY, last)
+                        and (bound is None or top <= bound)
+                    )
+                    if n == 0:
+                        want = 1 if kind is EndKind.ANY and k in (0, None) else 0
                     assert enumerate_count(q) == want, q
 
 
