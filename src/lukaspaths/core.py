@@ -128,9 +128,9 @@ class PathQuery:
 #: the 40 censuses of the n <= 9 cross-engine grid (Python 3.11, 2 CPUs):
 #: 1.9-2.6 s for the plain walk, 1.2 s with two-step tables, 0.65 s with
 #: three and 0.45 s with four.  Each step more multiplies a table's length by
-#: the heights one step can reach: four steps raised a fresh `selftest`'s
-#: peak RSS from 16.7 to 17.4 MB and five raised the n = 10 census's from
-#: 12.3 to 17.0 MB, so three is where the time saved stops paying for it.
+#: the heights one step can reach.  With three, a fresh `selftest` peaks at
+#: 16.4-16.7 MB RSS against the plain walk's 16.1-16.3 MB; four steps took it
+#: to 17.4 MB, and five raised the n = 10 census's peak from 12.3 to 17.0 MB.
 _TABLE_STEPS = 3
 
 
@@ -167,7 +167,6 @@ def _census(
     up, flat, down = range(3)  # STEP_KINDS indices: small-int keys hash fast
     buckets: Counter[tuple[int, int, int]] = Counter()
     tables: dict[tuple[int, int, Optional[int], int], list[tuple[int, int, int]]] = {}
-    table_steps = min(n, _TABLE_STEPS)
 
     def steps(h: int, last: Optional[int], rem: int) -> list[tuple[int, int]]:
         """(new height, kind) of every legal step from height h that leaves
@@ -202,7 +201,7 @@ def _census(
         return keys
 
     def walk(h: int, top: int, last: Optional[int], left: int) -> None:
-        if left > table_steps:
+        if left > _TABLE_STEPS:
             for nh, kind in steps(h, last, left - 1):
                 walk(nh, nh if nh > top else top, kind, left - 1)
         else:

@@ -228,8 +228,8 @@ def _walked_census(n, orientation, alternate, k=None, bound=None):
 @pytest.mark.parametrize("alternate", [False, True])
 def test_oracle_tables_match_the_plain_walk(orientation, alternate):
     """The census reads each path's last steps from a table: it must bucket
-    exactly the paths the plain walk counts one by one, at lengths up to,
-    below and past the table's three steps."""
+    exactly the paths the plain walk counts one by one, at lengths below, at
+    and past the table's three steps."""
     for n in range(0, 9):
         assert enumerate_profile(n, orientation, alternate) == _walked_census(
             n, orientation, alternate), n
