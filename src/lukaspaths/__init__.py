@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
     "bounded": (
-        "SystemMatrix", "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly",
-        "det_poly", "n_poly", "total_bounded_gf",
+        "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly", "det_poly",
+        "n_poly", "total_bounded_gf",
     ),
     "alternate": (
         "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root",

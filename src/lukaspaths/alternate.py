@@ -52,35 +52,32 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
     """Generating function of alternate prefixes ending at height k with the
     given kind of step, from the post-kernel closed forms.
 
-    The k = 0 members carry the start-state corrections: the up family is the
-    constant 1 (only the empty path), and the flat family is s2 / z.
+    Every family is num / ((1 + z^2) s1^(k+e)): one power of the kernel root
+    per call, with e = 0 for up, 1 for flat and 2 for down and Any.  The k = 0
+    members carry the start-state corrections: the up family is the constant 1
+    (only the empty path), the flat family is s2 / z (num = z), and the Any
+    family has its own numerator.
     """
     if k < 0:
         raise ValueError("end height must be nonnegative")
+    if kind is EndKind.UP and k == 0:
+        return Series.one(order)
     s1 = s1_series(order)
     z = Series.z(order)
-    one_z2 = _ONE_PLUS_Z2.to_series(order)
-    s1k = s1**k
-
     if kind is EndKind.UP:
+        num, e = z * (z + 1), 0
+    elif kind is EndKind.DOWN:
+        num, e = (z * z) * (2 * z * s1 + 1), 2
+    elif kind is EndKind.FLAT:
+        num, e = (z if k == 0 else z * ((z - 1) * s1 + 1)), 1
+    else:
+        s1s1, z2 = s1 * s1, z * z
         if k == 0:
-            return Series.one(order)
-        num = z * (z + 1)
-        return num / (one_z2 * s1k)
-    if kind is EndKind.DOWN:
-        num = (z * z) * (2 * z * s1 + 1)
-        return num / (one_z2 * s1k * s1 * s1)
-    if kind is EndKind.FLAT:
-        if k == 0:  # s2 / z
-            return z / (one_z2 * s1)
-        num = z * ((z - 1) * s1 + 1)
-        return num / (one_z2 * s1k * s1)
-    if k == 0:
-        z2 = z * z
-        num = s1 * s1 * z2 + 2 * s1 * z2 * z + s1 * s1 + s1 * z + z2
-        return num / (one_z2 * s1 * s1)
-    num = z * (2 * s1 * s1 * z + 2 * s1 * z * z + s1 + z)
-    return num / (one_z2 * s1k * s1 * s1)
+            num = s1s1 * z2 + 2 * s1 * z2 * z + s1s1 + s1 * z + z2
+        else:
+            num = z * (2 * s1s1 * z + 2 * s1 * z2 + s1 + z)
+        e = 2
+    return num / (_ONE_PLUS_Z2.to_series(order) * s1 ** (k + e))
 
 
 class SexticRoot(NamedTuple):

@@ -13,7 +13,7 @@ and how `bounded_gf_sweep` steps one family's generating function up in t.
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import EndKind, Orientation
 from .series import IntPoly, RationalGF
@@ -25,21 +25,11 @@ _Z = IntPoly([0, 1])
 _D_ANCHOR = (_NEG1, _ONE)  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
 
 
-class SystemMatrix(NamedTuple):
-    """Coefficient matrix of the truncated counting system."""
-
-    t: int
-    orientation: Orientation
-    entries: tuple[tuple[IntPoly, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return 3 * (self.t + 1)
-
-
-def build_system_matrix(t: int, orientation: Orientation = Orientation.L2R) -> SystemMatrix:
-    """Build the 3(t+1)-dimensional coefficient matrix for bound t from the
-    step set.
+def build_system_matrix(
+    t: int, orientation: Orientation = Orientation.L2R
+) -> tuple[tuple[IntPoly, ...], ...]:
+    """The rows of the 3(t+1)-dimensional coefficient matrix for bound t,
+    read off the step set.
 
     The row of state (h, kind), in the order f (up), g (down), h (flat) per
     level, holds -1 on its own diagonal and z at all three states of every
@@ -59,12 +49,13 @@ def build_system_matrix(t: int, orientation: Orientation = Orientation.L2R) -> S
                 row[3 * h0 : 3 * h0 + 3] = (_Z, _Z, _Z)
             row[len(rows)] += _NEG1
             rows.append(tuple(row))
-    return SystemMatrix(t, orientation, tuple(rows))
+    return tuple(rows)
 
 
-def det_poly(matrix: SystemMatrix) -> IntPoly:
-    """Exact determinant over Z[z] by fraction-free (Bareiss) elimination."""
-    return _bareiss([list(row) for row in matrix.entries])
+def det_poly(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """Exact determinant over Z[z] of the square matrix with these rows, by
+    fraction-free (Bareiss) elimination on a copy."""
+    return _bareiss([list(row) for row in rows])
 
 
 def _bareiss(m: list[list[IntPoly]]) -> IntPoly:

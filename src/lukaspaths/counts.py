@@ -25,10 +25,11 @@ def prefix_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDE
     """Generating function of left-to-right prefixes ending at height k with
     the given kind of step.
 
-    All four families are powers of the Catalan series L: the up family is
-    z L^k (with the empty path at k = 0), the down family z L^(k+2) - z L^(k+1),
-    the flat family z^2 L^(k+2) plus a lone z at k = 0 (the single flat step),
-    and the Any family [k = 0] + z L^(k+2).
+    All four families are shifted powers of the Catalan series L, one power
+    per call: the up family is z L^k (with the empty path at k = 0), the down
+    family z L^(k+2) - z L^(k+1) = z^2 L^(k+3) (as L - 1 = z L^2), the flat
+    family z^2 L^(k+2) plus a lone z at k = 0 (the single flat step), and the
+    Any family [k = 0] + z L^(k+2).
     """
     if k < 0:
         raise ValueError("end height must be nonnegative")
@@ -38,7 +39,7 @@ def prefix_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDE
             return Series.one(order)
         return (L**k).shift_up(1)
     if kind is EndKind.DOWN:
-        return (L ** (k + 2)).shift_up(1) - (L ** (k + 1)).shift_up(1)
+        return (L ** (k + 3)).shift_up(2)
     if kind is EndKind.FLAT:
         s = (L ** (k + 2)).shift_up(2)
         if k == 0:

@@ -4,9 +4,7 @@ rational generating functions.
 Every coefficient is a Python int.  The library counts paths, so every series
 it builds has integer coefficients, and the kernels keep it that way: a float
 or rational coefficient raises TypeError, and a division whose quotient is not
-integral raises ValueError rather than leaving the integers.  Any value that
-leaves the library as a path count is asserted to be a nonnegative integer at
-the boundary.
+integral raises ValueError rather than leaving the integers.
 """
 from __future__ import annotations
 

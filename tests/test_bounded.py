@@ -32,7 +32,7 @@ def _rows(*rows):
 def _cramer_n_poly(t, idx, orientation):
     """N_idx^t straight from its definition: the determinant of the system
     matrix with column idx replaced by (-1, 0, ..., 0)^T."""
-    m = [list(row) for row in build_system_matrix(t, orientation).entries]
+    m = [list(row) for row in build_system_matrix(t, orientation)]
     for r, row in enumerate(m):
         row[idx - 1] = NEG1 if r == 0 else ZERO
     return _bareiss(m)
@@ -107,17 +107,17 @@ TOTAL_R2L_ROWS = {
 
 
 def test_matrix_displays_t2():
-    assert build_system_matrix(2, Orientation.L2R).entries == L2R_T2
-    assert build_system_matrix(2, Orientation.R2L).entries == R2L_T2
+    assert build_system_matrix(2, Orientation.L2R) == L2R_T2
+    assert build_system_matrix(2, Orientation.R2L) == R2L_T2
 
 
 def test_matrix_examples():
-    m = build_system_matrix(2, Orientation.L2R)
-    assert m.entries[2][2] == ZM1
+    rows = build_system_matrix(2, Orientation.L2R)
+    assert rows[2][2] == ZM1
     for orientation in Orientation:
         small = build_system_matrix(0, orientation)
-        assert small.size == 3 and len(small.entries) == 3
-    assert build_system_matrix(2, Orientation.R2L).entries[1] == R2L_T2[1]
+        assert len(small) == 3 and all(len(row) == 3 for row in small)
+    assert build_system_matrix(2, Orientation.R2L)[1] == R2L_T2[1]
 
 
 def test_det_examples():

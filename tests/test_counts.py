@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lukaspaths.alternate import alt_series
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.series import Series, catalan
@@ -94,6 +96,32 @@ def test_triple_agreement(orientation):
                 dp = dp_count(PathQuery(n, k, kind, orientation))
                 assert count_fn(n, k, kind) == dp, (n, k, kind)
                 assert coeffs[n] == dp, (n, k, kind)
+
+
+#: Each unbounded gf family with the DP query fields it counts.
+SERIES_FAMILIES = {
+    "prefix": (prefix_series, Orientation.L2R, False),
+    "suffix": (suffix_series, Orientation.R2L, False),
+    "alternate": (alt_series, Orientation.L2R, True),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(SERIES_FAMILIES)),
+    k=st.integers(0, 12),
+    kind=st.sampled_from(KINDS),
+    order=st.integers(1, 81),
+)
+def test_unbounded_series_match_dp_past_the_grid(family, k, kind, order):
+    """Every coefficient of every unbounded gf family equals the DP count,
+    for k <= 12 and n <= 80.  The series charge the empty path to the k = 0
+    up family, the DP to Any only."""
+    series_fn, orientation, alternate = SERIES_FAMILIES[family]
+    coeffs = series_fn(k, kind, order).integer_coefficients()
+    dp = [dp_count(PathQuery(n, k, kind, orientation, alternate=alternate)) for n in range(order)]
+    dp[0] += k == 0 and kind is EndKind.UP
+    assert coeffs == dp
 
 
 def test_flat_relation():
