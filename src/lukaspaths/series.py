@@ -121,11 +121,6 @@ class Series:
             raise IndexError(f"coefficient {n} unknown at truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[:order])
-
     def integer_coefficients(self) -> list[int]:
         """The coefficients as a list of ints."""
         return list(self.coeffs)
@@ -177,22 +172,23 @@ class Series:
         return Series(_quotient(self.coeffs, other.coeffs, m))
 
     def sqrt(self) -> "Series":
-        """Square root with constant term +1, by Newton iteration.
-
-        Each round s -> (s + a/s)/2 doubles the number of correct
-        coefficients, starting from s = 1.  When the root is integral, as the
-        alternate-path kernel root is, so is every iterate.  When it is not,
-        the halving in the round that reaches its first non-integral
-        coefficient is inexact and raises ValueError.
-        """
+        """Square root with constant term +1, one coefficient per step: the
+        root y of f solves 2 f y' = f' y, so 2n y_n = sum_(j>=1) (3j - 2n) f_j
+        y_(n-j), two dot products against f's tail, and a polynomial's root
+        costs O(order) steps.  Each division by 2n is exact while the root is
+        integral; the first coefficient that is not raises ValueError."""
         if self.coeffs[0] != 1:
             raise ValueError("sqrt requires unit constant term")
-        s = Series.one(1)
-        while s.order < self.order:
-            m = min(2 * s.order, self.order)
-            s = Series(s.coeffs + (0,) * (m - s.order))
-            s = (s + self.truncate(m) / s) / 2
-        return s
+        f = _trim(self.coeffs[1:])
+        f3 = [3 * j * c for j, c in enumerate(f, 1)]
+        y = [1]
+        for n in range(1, self.order):
+            # 2n y_n = sum 3j f_j y_(n-j) - 2n sum f_j y_(n-j)
+            q, r = divmod(sum(map(mul, f3, reversed(y))), 2 * n)
+            if r:
+                raise ValueError(f"inexact square root: coefficient {n} is not an integer")
+            y.append(q - sum(map(mul, f, reversed(y))))
+        return Series(y)
 
     # -- shifts ------------------------------------------------------------
 
@@ -355,8 +351,10 @@ class RationalGF:
 
 
 def catalan_gf(order: int) -> Series:
-    """The Catalan generating function (1 - sqrt(1-4z)) / (2z) to the given
-    order; coefficient n is the n-th Catalan number."""
+    """The Catalan generating function L = (1 - sqrt(1-4z)) / (2z) to the
+    given order, computed as written and with no binomial; coefficient n is
+    the n-th Catalan number."""
     if order < 1:
         raise ValueError("order must be positive")
-    return Series([catalan(n) for n in range(order)])
+    one, z = Series.one(order + 1), Series.z(order + 1)
+    return (one - (one - 4 * z).sqrt()).shift_down(1) / 2

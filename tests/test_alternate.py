@@ -41,6 +41,12 @@ def test_s1_constant_term_and_kernel():
     assert _kernel_residual(s1) == Series([0] * 24)
 
 
+def test_s1_satisfies_the_kernel_at_order_400():
+    # (1 + z^2) s1^2 - (1 - 2z^3) s1 + z^2 = 0 past the orders the
+    # hypothesis kernels draw
+    assert _kernel_residual(s1_series(400)) == Series([0] * 400)
+
+
 def test_s1_low_order_coefficients_by_back_substitution():
     # solving the kernel quadratic coefficient by coefficient gives
     # s1 = 1 - 2z^2 - 2z^3 + 0z^4 - ...

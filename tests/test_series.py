@@ -64,6 +64,12 @@ def test_mul_truncates_to_min_order():
     assert (a - b).order == 3
 
 
+def test_catalan_gf_equals_the_catalan_numbers_at_order_2001():
+    # L comes from sqrt(1 - 4z); the binomial formula checks it far past the
+    # orders the hypothesis kernels draw
+    assert catalan_gf(2001).integer_coefficients() == [catalan(n) for n in range(2001)]
+
+
 def test_functional_equation_of_catalan_gf():
     order = 32
     L = catalan_gf(order)
@@ -106,6 +112,14 @@ def test_sqrt_examples():
     s = Series([1, -4, 0, 0, 0]).sqrt()
     assert list(s.coeffs[:4]) == [1, -2, -2, -4]
     assert s * s == Series([1, -4, 0, 0, 0])
+
+
+def test_sqrt_raises_at_its_first_non_integral_coefficient():
+    # sqrt(1 + z) = 1 + z/2 - ...; sqrt(1 + 2z + 2z^2) = 1 + z + z^2/2 - ...
+    with pytest.raises(ValueError, match="inexact square root: coefficient 1 "):
+        Series([1, 1, 0, 0]).sqrt()
+    with pytest.raises(ValueError, match="inexact square root: coefficient 2 "):
+        Series([1, 2, 2, 0, 0]).sqrt()
 
 
 def test_sqrt_requires_unit_constant():
