@@ -29,7 +29,7 @@ from .core import (
     _tally,
 )
 from .counts import prefix_count, prefix_series, suffix_count, suffix_series
-from .series import Series, catalan, catalan_gf
+from .series import Series
 
 
 def series_for_query(
@@ -60,31 +60,26 @@ def series_for_query(
         # right to left
         reach = order - 1 + (k if orientation is Orientation.L2R else 0)
         bound = min(bound, max(k or 0, reach))
-    if k is None:
-        if bound is not None:
+    if bound is not None:
+        if k is None:
             from .bounded import total_bounded_gf
 
             return total_bounded_gf(bound, orientation).expand(order)
-        return (catalan_gf(order + 1) - 1).shift_down(1)
-    if bound is not None:
         from .bounded import bounded_gf
 
         return bounded_gf(bound, k, kind, orientation).expand(order)
     if orientation is Orientation.L2R:
         return prefix_series(k, kind, order)
-    return suffix_series(k, kind, order)
+    return suffix_series(k, kind, order)  # k None: the total over end heights
 
 
 def closed_count(query: PathQuery) -> int:
     """The closed-form binomial engine (unbounded, non-alternate queries)."""
     if query.alternate or query.bound is not None:
         raise EngineDomainError("closed forms cover unbounded non-alternate queries only")
-    n, k, kind = query.n, query.k, query.kind
-    if k is None:  # right to left: `PathQuery` refuses the l2r total
-        return catalan(n + 1)
     if query.orientation is Orientation.L2R:
-        return prefix_count(n, k, kind)
-    return suffix_count(n, k, kind)
+        return prefix_count(query.n, query.k, query.kind)
+    return suffix_count(query.n, query.k, query.kind)
 
 
 def count_by_engine(engine: str, query: PathQuery, oracle_cap: int = DEFAULT_ORACLE_CAP) -> int:

@@ -147,17 +147,17 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Series":
-        """k-th power by repeated squaring: O(log k) products."""
+        """k-th power by repeated squaring: O(log k) products, none by 1."""
         if k < 0:
             raise ValueError("negative powers: invert first")
-        result, base = Series.one(self.order), self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return Series.one(self.order) if result is None else result
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""

@@ -290,10 +290,11 @@ def test_bound_saturation():
 @settings(max_examples=130, deadline=None)
 @given(data=st.data())
 def test_dp_agrees_with_the_other_engines_past_the_grid(data):
-    """Unbounded counts against the closed forms (n <= 300), bounded counts
-    and bounded totals over end heights against the bounded generating
-    functions (n <= 60), and unbounded alternate left-to-right counts against
-    the alternate series (n <= 60)."""
+    """Unbounded counts, right-to-left totals over end heights among them,
+    against the closed forms (n <= 300), bounded counts and bounded totals
+    over end heights against the bounded generating functions (n <= 60), and
+    unbounded alternate left-to-right counts against the alternate series
+    (n <= 60)."""
     route = data.draw(st.sampled_from(["closed", "bounded", "total", "alternate"]))
     n = data.draw(st.integers(1, 300 if route == "closed" else 60), label="n")
     k = data.draw(st.integers(0, 12), label="k")
@@ -303,6 +304,8 @@ def test_dp_agrees_with_the_other_engines_past_the_grid(data):
         orientation = data.draw(st.sampled_from([Orientation.L2R, Orientation.R2L]))
     bound = None
     if route == "closed":
+        if orientation is Orientation.R2L and data.draw(st.booleans(), label="total"):
+            k, kind = None, EndKind.ANY  # over every end height
         want = closed_count(PathQuery(n, k, kind, orientation))
     elif route == "bounded":
         bound = data.draw(st.integers(k, k + 12), label="bound")

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lukaspaths import counts, series
 from lukaspaths.alternate import alt_series
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
-from lukaspaths.series import Series, catalan
+from lukaspaths.engines import series_for_query
+from lukaspaths.series import Series, catalan, catalan_gf
 
 KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 
@@ -85,12 +87,13 @@ def test_suffix_kind_split_sums_to_any():
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
 def test_triple_agreement(orientation):
-    """closed form == series coefficient == dynamic program, n <= 9."""
+    """closed form == series coefficient == dynamic program, n <= 9, and
+    right to left over every end height too."""
     l2r = orientation is Orientation.L2R
     count_fn = prefix_count if l2r else suffix_count
     series_fn = prefix_series if l2r else suffix_series
-    for k in range(0, 10):
-        for kind in KINDS:
+    for k in range(0, 10) if l2r else (None, *range(0, 10)):  # None: the r2l total
+        for kind in KINDS if k is not None else (EndKind.ANY,):
             coeffs = series_fn(k, kind, 10).integer_coefficients()
             for n in range(1, 10):
                 dp = dp_count(PathQuery(n, k, kind, orientation))
@@ -153,3 +156,45 @@ def test_shift_bijection_total_is_next_catalan():
 def test_prefix_any_k0_is_catalan():
     for n in range(0, 12):
         assert prefix_count(n, 0) == catalan(n)
+
+
+@pytest.fixture
+def full_products(monkeypatch):
+    """The `series._convolve` calls whose shorter trimmed operand has more
+    than two terms: the full products, not a product with 1, z or 1 + z^2."""
+    calls = []
+    convolve = series._convolve
+
+    def counted(a, b, m):
+        if min(len(series._trim(a[:m])), len(series._trim(b[:m]))) > 2:
+            calls.append(m)
+        return convolve(a, b, m)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    return calls
+
+
+def _products(calls, build) -> int:
+    calls.clear()
+    build()
+    return len(calls)
+
+
+def test_families_take_l_squared_without_a_product(full_products):
+    """L^2 = (L - 1)/z costs no product, so z^2 L^3 takes one, the
+    right-to-left total none, and every family with a power p >= 2 one fewer
+    than `L ** p` (order 64, k <= 12, every kind, both orientations)."""
+    order = 64
+    assert _products(full_products, lambda: prefix_series(0, EndKind.DOWN, order)) == 1
+    total = lambda: series_for_query(None, orientation=Orientation.R2L, order=order)
+    assert _products(full_products, total) == 0
+    L = catalan_gf(order)
+    for orientation in Orientation:
+        build = prefix_series if orientation is Orientation.L2R else suffix_series
+        for k in range(13):
+            for kind in KINDS:
+                p = counts._family(orientation, k, kind)[0]
+                if p < 2:
+                    continue
+                got = _products(full_products, lambda: build(k, kind, order))
+                assert got == _products(full_products, lambda: L**p) - 1, (orientation, k, kind)

@@ -44,7 +44,7 @@ def test_gf_modules_use_no_dp_or_oracle_function(name):
 #: `counts` and the closed engine with its Catalan numbers in `engines`.
 CLOSED_FORMS = (("series", "catalan"), ("series", "binom"), ("series", "comb"),
                 ("counts", "binom"), ("counts", "prefix_count"),
-                ("counts", "suffix_count"), ("engines", "catalan"),
+                ("counts", "suffix_count"), ("counts", "_ballot"),
                 ("engines", "closed_count"))
 GF_ORDER = 30
 KINDS = tuple(EndKind)

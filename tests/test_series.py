@@ -99,10 +99,15 @@ def test_div_requires_unit():
 
 
 def test_catalan_via_sqrt_route():
-    order = 16
-    root = Series([1, -4] + [0] * (order - 2)).sqrt()
-    L = (Series.one(order) - root).shift_down(1) / 2
-    assert L.integer_coefficients() == catalan_gf(order - 1).integer_coefficients()
+    """`catalan_gf` takes sqrt(1 - 4z); two checks that take no square root
+    hold it: L = 1 + z L^2, and the convolution C_(n+1) = sum C_i C_(n-i)."""
+    order = 64
+    L = catalan_gf(order)
+    assert L == Series.one(order) + Series.z(order) * L * L
+    cs = [1]
+    for n in range(order - 1):
+        cs.append(sum(cs[i] * cs[n - i] for i in range(n + 1)))
+    assert L.integer_coefficients() == cs
 
 
 def test_sqrt_examples():
