@@ -74,7 +74,7 @@ def series_for_query(
 
 
 def closed_count(query: PathQuery) -> int:
-    """The closed-form binomial engine (unbounded, non-alternate queries)."""
+    """The closed-form ballot-number engine (unbounded, non-alternate queries)."""
     if query.alternate or query.bound is not None:
         raise EngineDomainError("closed forms cover unbounded non-alternate queries only")
     if query.orientation is Orientation.L2R:

@@ -101,6 +101,19 @@ def test_triple_agreement(orientation):
                 assert coeffs[n] == dp, (n, k, kind)
 
 
+@pytest.mark.parametrize("n", [100, 300])
+def test_every_family_row_matches_dp_at_large_n(n):
+    """Every (power, shift) row the closed engine reads, k <= 12 and the
+    right-to-left total, against the dynamic program far past the grid."""
+    for orientation in Orientation:
+        count_fn = prefix_count if orientation is Orientation.L2R else suffix_count
+        shapes = [(k, kind) for k in range(13) for kind in KINDS]
+        if orientation is Orientation.R2L:
+            shapes.append((None, EndKind.ANY))
+        for k, kind in shapes:
+            assert count_fn(n, k, kind) == dp_count(PathQuery(n, k, kind, orientation)), (k, kind)
+
+
 #: Each unbounded gf family with the DP query fields it counts.
 SERIES_FAMILIES = {
     "prefix": (prefix_series, Orientation.L2R, False),

@@ -41,7 +41,7 @@ def test_gf_modules_use_no_dp_or_oracle_function(name):
 
 #: Every name through which a closed form reaches the library: the binomial
 #: helpers of `series` (and the `comb` behind them), the closed counters of
-#: `counts` and the closed engine with its Catalan numbers in `engines`.
+#: `counts` with their ballot numbers, and the closed engine in `engines`.
 CLOSED_FORMS = (("series", "catalan"), ("series", "binom"), ("series", "comb"),
                 ("counts", "binom"), ("counts", "prefix_count"),
                 ("counts", "suffix_count"), ("counts", "_ballot"),
