@@ -17,17 +17,14 @@ _EXPORTS = {
         "dp_count", "enumerate_count", "enumerate_profile",
     ),
     "series": (
-        "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan",
-        "catalan_gf",
+        "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan_gf",
     ),
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
     "bounded": (
-        "bounded_gf", "bounded_gf_sweep", "build_system_matrix", "d_poly", "det_poly",
-        "n_poly", "total_bounded_gf",
+        "bounded_gf", "bounded_gf_sweep", "d_poly", "n_poly", "total_bounded_gf",
     ),
     "alternate": (
-        "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root",
-        "s1_series", "s2_series",
+        "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root", "s1_series",
     ),
     "asymptotics": (
         "FAMILIES", "HeightStats", "avg_height", "substitution_check",

@@ -39,15 +39,6 @@ def s1_series(order: int = DEFAULT_ORDER) -> Series:
     return (_ONE_MINUS_2Z3.to_series(order) + root) / _TWO_PLUS_2Z2.to_series(order)
 
 
-def s2_series(order: int = DEFAULT_ORDER) -> Series:
-    """The small kernel root, from the product identity
-    s1 s2 (1 + z^2) = z^2; it has valuation 2."""
-    if order < 3:
-        raise ValueError("order must be at least 3 to see the valuation")
-    s1 = s1_series(order)
-    return (_ONE_PLUS_Z2.to_series(order) * s1).inverse().shift_up(2)
-
-
 def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) -> Series:
     """Generating function of alternate prefixes ending at height k with the
     given kind of step, from the post-kernel closed forms.

@@ -4,83 +4,23 @@ For a bound t the truncated state diagram yields a 3(t+1) x 3(t+1) linear
 system over Z[z] in the unknowns f_0, g_0, h_0, ..., f_t, g_t, h_t (that row
 order) with right-hand side (-1, 0, ..., 0)^T; state (h, kind) is a path at
 height h whose last step is up (f), down (g) or flat (h), and each row is
-read off the step set of the orientation.  Determinants D_t of the
-coefficient matrix satisfy D_{t+2} = -D_{t+1} - z D_t and equal, up to sign,
-the Fibonacci polynomials; Cramer numerators N_k^t satisfy the same length
-recurrence plus orientation-specific shift rules, which is how `n_poly`
-computes them (the exact determinant route stays available as a cross-check)
-and how `bounded_gf_sweep` steps one family's generating function up in t.
+read off the step set of the orientation.  The determinant D_t of the
+coefficient matrix satisfies D_{t+2} = -D_{t+1} - z D_t and equals, up to
+sign, the Fibonacci polynomial; the Cramer numerators N_k^t satisfy the same
+length recurrence plus orientation-specific shift rules.  The library solves
+the system by these recurrences alone: `d_poly` and `n_poly` compute D_t and
+N_k^t, and `bounded_gf_sweep` steps one family's generating function up in
+t.  The matrix itself and its determinant are written out only in the tests,
+which check the recurrences against them.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .core import EndKind, Orientation
 from .series import IntPoly, RationalGF
 
-_ZERO = IntPoly()
-_ONE = IntPoly([1])
-_NEG1 = IntPoly([-1])
-_Z = IntPoly([0, 1])
-_D_ANCHOR = (_NEG1, _ONE)  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
-
-
-def build_system_matrix(
-    t: int, orientation: Orientation = Orientation.L2R
-) -> tuple[tuple[IntPoly, ...], ...]:
-    """The rows of the 3(t+1)-dimensional coefficient matrix for bound t,
-    read off the step set.
-
-    The row of state (h, kind), in the order f (up), g (down), h (flat) per
-    level, holds -1 on its own diagonal and z at all three states of every
-    level h0 from which one step of that kind reaches h.  The step from h0 to
-    h rises by h - h0: at least -1 left to right (a fall of one, a flat step,
-    or a rise of any size), at most 1 right to left (the mirror image).
-    """
-    if t < 0:
-        raise ValueError("bound must be nonnegative")
-    size = 3 * (t + 1)
-    lo, hi = (-1, t) if orientation is Orientation.L2R else (-t, 1)  # one step's rises
-    rows = []
-    for h in range(t + 1):
-        for rises in (range(1, hi + 1), range(lo, 0), (0,)):  # up, down, flat
-            row = [_ZERO] * size
-            for h0 in (h - r for r in rises if 0 <= h - r <= t):
-                row[3 * h0 : 3 * h0 + 3] = (_Z, _Z, _Z)
-            row[len(rows)] += _NEG1
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-def det_poly(rows: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Exact determinant over Z[z] of the square matrix with these rows, by
-    fraction-free (Bareiss) elimination on a copy."""
-    return _bareiss([list(row) for row in rows])
-
-
-def _bareiss(m: list[list[IntPoly]]) -> IntPoly:
-    n = len(m)
-    if n == 0:
-        return _ONE
-    sign = 1
-    prev = _ONE
-    for col in range(n - 1):
-        if m[col][col].is_zero():
-            for r in range(col + 1, n):
-                if not m[r][col].is_zero():
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return _ZERO
-        pivot = m[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][col] * m[col][j]).exact_div(prev)
-            m[i][col] = _ZERO
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+_D_ANCHOR = (IntPoly([-1]), IntPoly([1]))  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
 
 
 def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:

@@ -172,7 +172,7 @@ def read_bfile(path: str | Path) -> dict[int, int]:
     entries: list[tuple[int, int]] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BFileError(f"unreadable b-file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

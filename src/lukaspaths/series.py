@@ -30,11 +30,6 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def catalan(n: int) -> int:
-    """The n-th Catalan number C(2n, n) / (n + 1)."""
-    return comb(2 * n, n) // (n + 1)
-
-
 def _trim(c: Sequence[int]) -> Sequence[int]:
     """`c` without its trailing zeros."""
     n = len(c)

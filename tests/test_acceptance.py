@@ -17,18 +17,13 @@ from lukaspaths.alternate import (
     dominant_root,
 )
 from lukaspaths.asymptotics import avg_height, substitution_check
-from lukaspaths.bounded import (
-    bounded_gf,
-    build_system_matrix,
-    d_poly,
-    det_poly,
-    n_poly,
-    total_bounded_gf,
-)
+from lukaspaths.bounded import bounded_gf, d_poly, n_poly, total_bounded_gf
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.engines import cross_engine_grid, run_fixture_checks
-from lukaspaths.series import IntPoly, catalan
+from lukaspaths.series import IntPoly
+
+from reference import build_system_matrix, catalan, det_poly
 
 KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 

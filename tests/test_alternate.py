@@ -7,10 +7,11 @@ from lukaspaths.alternate import (
     alt_series,
     dominant_root,
     s1_series,
-    s2_series,
 )
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.series import Series
+
+from reference import s2_series
 
 KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 

@@ -27,7 +27,8 @@ from lukaspaths.core import (
     dp_count,
 )
 from lukaspaths.counts import prefix_count, suffix_count
-from lukaspaths.series import catalan
+
+from reference import catalan
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

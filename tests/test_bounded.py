@@ -4,18 +4,17 @@ from math import comb
 import pytest
 
 from lukaspaths.bounded import (
-    _bareiss,
     bounded_gf,
     bounded_gf_sweep,
-    build_system_matrix,
     d_poly,
-    det_poly,
     n_poly,
     total_bounded_gf,
 )
 from lukaspaths.core import EndKind, Orientation, PathQuery, _bound_sweep, dp_count
 from lukaspaths.counts import prefix_series, suffix_series
-from lukaspaths.series import IntPoly, RationalGF, catalan
+from lukaspaths.series import IntPoly, RationalGF
+
+from reference import _bareiss, build_system_matrix, catalan, det_poly
 
 Z = IntPoly([0, 1])
 NEG1 = IntPoly([-1])
@@ -163,11 +162,15 @@ def test_n_poly_spec_picks():
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
 def test_n_poly_matches_cramer_determinants(orientation):
+    """Every column by Cramer's rule, and their sum over D_t, the generating
+    function of all bounded paths, against the hard-coded totals."""
     for t in range(0, 5):
+        total = ZERO
         for idx in range(1, 3 * (t + 1) + 1):
-            assert n_poly(t, idx, orientation) == _cramer_n_poly(t, idx, orientation), (
-                t, idx, orientation,
-            )
+            cramer = _cramer_n_poly(t, idx, orientation)
+            assert n_poly(t, idx, orientation) == cramer, (t, idx, orientation)
+            total = total + cramer
+        assert RationalGF(total, d_poly(t)) == total_bounded_gf(t, orientation), t
 
 
 def test_n_poly_range_check():

@@ -15,7 +15,8 @@ from lukaspaths.cli import (
     main,
 )
 from lukaspaths.engines import bundled_bfile
-from lukaspaths.series import catalan
+
+from reference import catalan
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +181,16 @@ def test_check_malformed_bfile(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "check", "--bfile", str(decreasing), "--k", "1",
                          "--order", "4")
     assert rc == EXIT_BFILE and "strictly increasing" in err
+
+
+def test_check_bfile_not_utf8(capsys, tmp_path):
+    """Bytes that do not decode are an unreadable b-file (exit 6), not a
+    query outside the domain."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n1 \xff\xfe\n")
+    rc, _, err = run_cli(capsys, "check", "--bfile", str(bad), "--k", "0", "--order", "5")
+    assert rc == EXIT_BFILE
+    assert err.startswith("error: unreadable b-file")
 
 
 def test_check_reports_mismatches(capsys, tmp_path):

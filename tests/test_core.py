@@ -19,7 +19,8 @@ from lukaspaths.core import (
     enumerate_profile,
 )
 from lukaspaths.engines import closed_count
-from lukaspaths.series import catalan
+
+from reference import catalan
 
 def _kind(rise):
     """A step's direction class, by the sign of its rise."""

@@ -6,7 +6,9 @@ from lukaspaths.alternate import alt_series
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.engines import series_for_query
-from lukaspaths.series import Series, catalan, catalan_gf
+from lukaspaths.series import Series, catalan_gf
+
+from reference import catalan
 
 KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 

@@ -40,9 +40,9 @@ def test_gf_modules_use_no_dp_or_oracle_function(name):
 
 
 #: Every name through which a closed form reaches the library: the binomial
-#: helpers of `series` (and the `comb` behind them), the closed counters of
+#: helper of `series` (and the `comb` behind it), the closed counters of
 #: `counts` with their ballot numbers, and the closed engine in `engines`.
-CLOSED_FORMS = (("series", "catalan"), ("series", "binom"), ("series", "comb"),
+CLOSED_FORMS = (("series", "binom"), ("series", "comb"),
                 ("counts", "binom"), ("counts", "prefix_count"),
                 ("counts", "suffix_count"), ("counts", "_ballot"),
                 ("engines", "closed_count"))

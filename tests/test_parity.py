@@ -25,7 +25,7 @@ def test_the_grid_covers_every_subcommand_engine_and_format(tmp_path):
     assert len(families) == 5
     assert ["selftest", "--quick"] in argvs
     assert any(env for _, env in cases)  # LUKAS_ORDER cases
-    assert sum(argv[:1] == ["check"] and str(tmp_path) in argv[2] for argv in argvs) == 5
+    assert sum(argv[:1] == ["check"] and str(tmp_path) in argv[2] for argv in argvs) == 6
 
 
 def fake_runner(results):

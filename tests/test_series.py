@@ -8,9 +8,10 @@ from lukaspaths.series import (
     RationalGF,
     Series,
     binom,
-    catalan,
     catalan_gf,
 )
+
+from reference import catalan
 
 CATALAN_ROW = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 

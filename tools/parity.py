@@ -162,7 +162,7 @@ def grid(bfiles: Path) -> list[Case]:
 
 def write_bad_bfiles(directory: Path) -> None:
     """The b-files `check` must refuse or report: empty, malformed, not
-    increasing, and one whose values are wrong."""
+    increasing, not UTF-8, and one whose values are wrong."""
     files = {
         "empty.txt": "",
         "malformed.txt": "0 1\n1 x\n",
@@ -172,6 +172,7 @@ def write_bad_bfiles(directory: Path) -> None:
     }
     for name, text in files.items():
         (directory / name).write_text(text, encoding="utf-8")
+    (directory / "not-utf8.txt").write_bytes(b"0 1\n1 \xff\xfe\n")
 
 
 def run_tree(tree: Path, cases: list[Case]) -> list[Result]:
