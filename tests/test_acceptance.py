@@ -17,7 +17,7 @@ from lukaspaths.alternate import (
     dominant_root,
 )
 from lukaspaths.asymptotics import avg_height, substitution_check
-from lukaspaths.bounded import bounded_gf, d_poly, n_poly, total_bounded_gf
+from lukaspaths.bounded import bounded_gf, n_poly, total_bounded_gf
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.engines import cross_engine_grid, run_fixture_checks
