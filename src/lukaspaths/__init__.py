@@ -1,7 +1,7 @@
 """Exact counting of Lukasiewicz lattice path prefixes and suffixes.
 
 Four mutually checking engines: a brute-force enumeration oracle, a dynamic
-program over (height, last-step class), closed-form binomials, and exact
+program over (height, last-step class), closed-form ballot numbers, and exact
 generating-function expansions, plus height-bounded transfer-matrix counting,
 alternate-path (kernel method) counting, and average-height asymptotics.
 
@@ -17,7 +17,7 @@ _EXPORTS = {
         "dp_count", "enumerate_count", "enumerate_profile",
     ),
     "series": (
-        "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "binom", "catalan_gf",
+        "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "catalan_gf",
     ),
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
     "bounded": (

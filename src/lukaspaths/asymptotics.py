@@ -47,7 +47,7 @@ def _gf_bounded_counts(n: int, end: Optional[int], orientation: Orientation) -> 
     from .bounded import bounded_gf_sweep
 
     yield from repeat(0, end or 0)
-    gfs = bounded_gf_sweep(end, EndKind.ANY, orientation)
+    gfs = bounded_gf_sweep(end, orientation)
     gf, nxt = next(gfs), next(gfs)
     w = (nxt.num * gf.den - gf.num * nxt.den).coeffs
     same = next(i for i, c in enumerate(w) if c)  # val(W_(t0+1))
@@ -74,8 +74,7 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     height of the *-at-k families and is rejected for the others; a
     suffix-at-k family with k > n is empty and rejected too.  The family's
     query is then checked as `PathQuery` checks it: a negative k raises
-    ValueError, and prefix-any (left to right, no end height, no bound) is
-    infinite and raises `InfiniteFamilyError`.
+    ValueError.  Every family in `FAMILIES` is finite.
     """
     if n < 1:
         raise ValueError("length must be positive")

@@ -125,13 +125,9 @@ def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> Rati
     return RationalGF(_nth(*_D_ANCHOR, t), d_poly(t))
 
 
-def bounded_gf_sweep(
-    k: Optional[int],
-    kind: EndKind = EndKind.ANY,
-    orientation: Orientation = Orientation.L2R,
-) -> Iterator[RationalGF]:
-    """`bounded_gf(t, k, kind, orientation)` for t = k, k+1, ... in turn;
-    with k None, `total_bounded_gf(t, R2L)` for t = 0, 1, ...
+def bounded_gf_sweep(k: Optional[int], orientation: Orientation) -> Iterator[RationalGF]:
+    """`bounded_gf(t, k, EndKind.ANY, orientation)` for t = k, k+1, ... in
+    turn; with k None, `total_bounded_gf(t, R2L)` for t = 0, 1, ...
 
     Each numerator column is a signed z-shift of a base column at t - r with
     r fixed by the column, and the right-to-left total's numerator is
@@ -141,14 +137,14 @@ def bounded_gf_sweep(
     `RationalGF` flips signs to make den(0) > 0 and D_t(0) = (-1)^(t+1).
     """
     if k is None:
-        if orientation is not Orientation.R2L or kind is not EndKind.ANY:
-            raise ValueError("only the right-to-left total of any kind is swept")
+        if orientation is not Orientation.R2L:
+            raise ValueError("only the right-to-left total is swept")
         t0, num = 0, _D_ANCHOR
     elif k < 0:
         raise ValueError("end height must be nonnegative")
     else:
         t0 = k
-        num = (_numerator(k, k, kind, orientation), _numerator(k + 1, k, kind, orientation))
+        num = tuple(_numerator(t, k, EndKind.ANY, orientation) for t in (k, k + 1))
     den = (d_poly(t0), d_poly(t0 + 1))
     while True:
         yield RationalGF(num[0], den[0])

@@ -44,7 +44,6 @@ FAMILIES = (
     "prefix-at-k",
     "suffix-at-k",
     "suffix-any",
-    "prefix-any",
 )
 
 
@@ -243,7 +242,6 @@ def enumerate_profile(
     n: int,
     orientation: Orientation = Orientation.L2R,
     alternate: bool = False,
-    cap: int = DEFAULT_ORACLE_CAP,
 ) -> dict[tuple[int, EndKind, int], int]:
     """Batch oracle: one exhaustive generation pass over all length-n paths
     with end height at most n, bucketed by (end height, end kind, max height).
@@ -251,8 +249,8 @@ def enumerate_profile(
     Bounded and per-kind counts for a whole query grid follow by summation,
     which keeps cross-engine acceptance sweeps affordable.
     """
-    if n > cap:
-        raise OracleCapError(f"oracle cap exceeded: n={n} > {cap}")
+    if n > DEFAULT_ORACLE_CAP:
+        raise OracleCapError(f"oracle cap exceeded: n={n} > {DEFAULT_ORACLE_CAP}")
     return _census(n, orientation, alternate)
 
 

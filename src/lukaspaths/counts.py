@@ -9,10 +9,11 @@ counters charge it to the Any kind only.  For n >= 1 the two agree.
 """
 from __future__ import annotations
 
+from math import comb
 from typing import Optional
 
 from .core import EndKind, Orientation
-from .series import DEFAULT_ORDER, Series, binom, catalan_gf
+from .series import DEFAULT_ORDER, Series, catalan_gf
 
 #: (power, shift) of each family z^shift L^power, by end height k.  Left to
 #: right the up family at k = 0 is the empty path alone, z^0 L^0.
@@ -46,7 +47,7 @@ def _ballot(p: int, m: int) -> int:
     """[z^m] L^p = p/(2m + p) C(2m + p, m), and [z^m] L^0 = [m = 0]."""
     if m < 0 or p == 0:
         return int(m == 0)
-    return p * binom(2 * m + p, m) // (2 * m + p)
+    return p * comb(2 * m + p, m) // (2 * m + p)
 
 
 def _count(orientation: Orientation, n: int, k: Optional[int], kind: EndKind) -> int:

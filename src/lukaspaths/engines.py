@@ -3,7 +3,7 @@ sweep, and the b-file fixtures that pin the library against independently
 generated sequence data.
 
 The four engines are: the brute-force oracle (explicit generation), the
-dynamic program, the closed-form binomials, and exact generating-function
+dynamic program, the closed-form ballot numbers, and exact generating-function
 expansion.  Not every engine covers every query: an engine refuses a query
 outside its domain with `EngineDomainError` (for example, closed forms for
 height-bounded alternate paths) before computing anything, so
@@ -249,12 +249,12 @@ FIXTURE_CHECKS: tuple[tuple[str, dict, int, int], ...] = (
 )
 
 
-def run_fixture_checks(order: int = 21) -> list[tuple[str, int, int]]:
-    """Compare the bundled fixtures against the series engine.  Returns
-    (fixture name, comparisons, mismatches) per check."""
+def run_fixture_checks() -> list[tuple[str, int, int]]:
+    """Compare the bundled fixtures against the series engine to order 21.
+    Returns (fixture name, comparisons, mismatches) per check."""
     results = []
     for name, kwargs, shift, start in FIXTURE_CHECKS:
-        series = series_for_query(order=order, **kwargs)
+        series = series_for_query(order=21, **kwargs)
         computed = series.integer_coefficients()
         table = read_bfile(bundled_bfile(name))
         ncomp, mismatches = compare_bfile(table, computed, shift, start)

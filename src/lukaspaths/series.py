@@ -9,7 +9,6 @@ integral raises ValueError rather than leaving the integers.
 from __future__ import annotations
 
 from itertools import starmap, zip_longest
-from math import comb
 from operator import add, index, mul
 from typing import Any, Iterable, Sequence
 
@@ -17,17 +16,6 @@ from typing import Any, Iterable, Sequence
 #: per call and, on the command line, through the LUKAS_ORDER environment
 #: variable.
 DEFAULT_ORDER = 64
-
-
-def binom(a: int, b: int) -> int:
-    """C(a, b) with the convention C(a, b) = 0 whenever b < 0 or b > a.
-
-    The zero convention makes the ballot-style counting formulas total
-    functions at their boundary arguments.
-    """
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 def _trim(c: Sequence[int]) -> Sequence[int]:
@@ -196,8 +184,6 @@ class Series:
 
     def shift_down(self, j: int) -> "Series":
         """Divide by z^j; requires valuation >= j.  The order shrinks by j."""
-        if j == 0:
-            return self
         if self.order <= j:
             raise ValueError("order too small to shift down")
         if any(self.coeffs[:j]):
@@ -347,7 +333,7 @@ class RationalGF:
 
 def catalan_gf(order: int) -> Series:
     """The Catalan generating function L = (1 - sqrt(1-4z)) / (2z) to the
-    given order, computed as written and with no binomial; coefficient n is
+    given order, computed as written and with no closed form; coefficient n is
     the n-th Catalan number."""
     if order < 1:
         raise ValueError("order must be positive")

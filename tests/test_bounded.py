@@ -337,7 +337,7 @@ def test_sweep_matches_rebuilt_gf(k, orientation):
     # bounds up to saturation for every length n <= 40: c_t(n) is the full
     # count once t > n + k
     start = k or 0
-    swept = bounded_gf_sweep(k, EndKind.ANY, orientation)
+    swept = bounded_gf_sweep(k, orientation)
     for t, gf in zip(range(start, 40 + start + 2), swept):
         if k is None:
             assert gf == total_bounded_gf(t, orientation), t
@@ -345,21 +345,11 @@ def test_sweep_matches_rebuilt_gf(k, orientation):
             assert gf == bounded_gf(t, k, EndKind.ANY, orientation), t
 
 
-@pytest.mark.parametrize("orientation", list(Orientation))
-@pytest.mark.parametrize("kind", KINDS)
-def test_sweep_per_kind_matches_rebuilt_gf(kind, orientation):
-    for k in range(3):
-        for t, gf in zip(range(k, k + 8), bounded_gf_sweep(k, kind, orientation)):
-            assert gf == bounded_gf(t, k, kind, orientation), (k, t)
-
-
 def test_sweep_argument_checks():
     with pytest.raises(ValueError, match="nonnegative"):
-        next(bounded_gf_sweep(-1))
+        next(bounded_gf_sweep(-1, Orientation.L2R))
     with pytest.raises(ValueError, match="right-to-left total"):
-        next(bounded_gf_sweep(None, EndKind.ANY, Orientation.L2R))
-    with pytest.raises(ValueError, match="right-to-left total"):
-        next(bounded_gf_sweep(None, EndKind.UP, Orientation.R2L))
+        next(bounded_gf_sweep(None, Orientation.L2R))
 
 
 def test_d_poly_rejects_negative_bound():

@@ -39,11 +39,17 @@ def test_gf_modules_use_no_dp_or_oracle_function(name):
     assert not _names_in_code(module) & set(DP_AND_ORACLE), name
 
 
-#: Every name through which a closed form reaches the library: the binomial
-#: helper of `series` (and the `comb` behind it), the closed counters of
-#: `counts` with their ballot numbers, and the closed engine in `engines`.
-CLOSED_FORMS = (("series", "binom"), ("series", "comb"),
-                ("counts", "binom"), ("counts", "prefix_count"),
+def test_series_kernel_names_no_binomial():
+    """The kernel the gf engine runs on holds no binomial, so no closed form
+    can reach a series through it."""
+    series = importlib.import_module("lukaspaths.series")
+    assert not _names_in_code(series) & {"comb", "binom"}
+
+
+#: Every name through which a closed form reaches the library: the closed
+#: counters of `counts` with their ballot numbers and the `comb` behind
+#: them, and the closed engine in `engines`.
+CLOSED_FORMS = (("counts", "comb"), ("counts", "prefix_count"),
                 ("counts", "suffix_count"), ("counts", "_ballot"),
                 ("engines", "closed_count"))
 GF_ORDER = 30

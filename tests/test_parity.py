@@ -1,7 +1,10 @@
 """tools/parity.py: its grid, its diff of two checkouts' results, and its
 child script on this checkout."""
+import argparse
 import importlib.util
 from pathlib import Path
+
+from lukaspaths.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
@@ -24,8 +27,13 @@ def test_the_grid_covers_every_subcommand_engine_and_format(tmp_path):
     families = {argv[2] for argv in argvs if argv[:1] == ["height"] and "--route" in argv}
     assert len(families) == 5
     assert ["selftest", "--quick"] in argvs
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert ["--help"] in argvs
+    for command in commands:
+        assert [command, "--help"] in argvs, command
     assert any(env for _, env in cases)  # LUKAS_ORDER cases
-    assert sum(argv[:1] == ["check"] and str(tmp_path) in argv[2] for argv in argvs) == 6
+    assert sum(argv[:2] == ["check", "--bfile"] and str(tmp_path) in argv[2] for argv in argvs) == 6
 
 
 def fake_runner(results):

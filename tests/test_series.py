@@ -7,7 +7,6 @@ from lukaspaths.series import (
     IntPoly,
     RationalGF,
     Series,
-    binom,
     catalan_gf,
 )
 
@@ -131,12 +130,6 @@ def test_sqrt_raises_at_its_first_non_integral_coefficient():
 def test_sqrt_requires_unit_constant():
     with pytest.raises(ValueError, match="unit constant"):
         Series([4, 0, 0]).sqrt()
-
-
-def test_binom_zero_convention():
-    assert binom(5, -1) == 0
-    assert binom(3, 4) == 0
-    assert binom(4, 2) == 6
 
 
 def test_expand_rational_fibonacci():

@@ -12,7 +12,7 @@ code (a `SystemExit` included), standard output and standard error.
 The grid covers `count` over every engine, format and query shape, with
 refusals and oracle caps; `series` in every format; `check` against bundled,
 missing and malformed b-files; `height` for every family and route;
-`selftest --quick`; and the usage and domain errors.
+`selftest --quick`; every help text; and the usage and domain errors.
 
 One line is printed per differing (argv, stream), where the stream is
 `exit`, `stdout` or `stderr`; then one tally line per distinct (stream,
@@ -148,7 +148,9 @@ def grid(bfiles: Path) -> list[Case]:
 
     add("selftest", "--quick")
 
-    for argv in ([], ["--help"], ["count", "--help"], ["bogus"], ["count"],
+    for command in ("count", "series", "check", "height", "selftest"):
+        add(command, "--help")
+    for argv in ([], ["--help"], ["bogus"], ["count"],
                  ["count", "--n", -1], ["count", "--n", "x"], ["count", "--n", 3, "--k", -1],
                  ["count", "--n", 3, "--bound", -2], ["count", "--n", 3, "--oracle-cap", -1],
                  ["count", "--n", 3, "--k", 1, "--total"], ["count", "--n", 3, "--engine", "x"],
