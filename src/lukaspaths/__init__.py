@@ -20,9 +20,7 @@ _EXPORTS = {
         "DEFAULT_ORDER", "IntPoly", "RationalGF", "Series", "catalan_gf",
     ),
     "counts": ("prefix_count", "prefix_series", "suffix_count", "suffix_series"),
-    "bounded": (
-        "bounded_gf", "bounded_gf_sweep", "d_poly", "n_poly", "total_bounded_gf",
-    ),
+    "bounded": ("bounded_gf", "d_poly", "n_poly", "total_bounded_gf"),
     "alternate": (
         "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root", "s1_series",
     ),

@@ -3,15 +3,17 @@ identities that underpin the sqrt(pi n) asymptotics.
 
 For a family with c_t(n) members of height at most t, the mean height is
 sum_{t >= 0} (c_T(n) - c_t(n)) / c_T(n) for any T at or above the family's
-highest member, so each route's own c_T(n) is the family's size.  Means are
-exact rationals; only the ratio against sqrt(pi n) is floated.
+highest member, so each route's own c_T(n) is the family's size.  Below the
+end height k every c_t(n) is 0 and its term is 1, so the sum is k plus its
+terms from t = k.  Means are exact rationals; only the ratio against
+sqrt(pi n) is floated.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from typing import Iterator, NamedTuple, Optional
+from itertools import islice
+from typing import NamedTuple, Optional
 
 from .core import FAMILIES, EndKind, Orientation, PathQuery, _bound_sweep
 
@@ -35,39 +37,15 @@ def _family_model(family: str, k: Optional[int]) -> tuple[Optional[int], Orienta
     return end, Orientation.R2L if family.startswith("suffix") else Orientation.L2R
 
 
-def _gf_bounded_counts(n: int, end: Optional[int], orientation: Orientation) -> Iterator[int]:
-    """c_t(n) for t = 0, 1, ...: zero below the end height, then the n-th
-    coefficient of each bound's generating function, swept up in t.
-
-    The sweep steps numerator and D_t by one recurrence, so the Casoratian
-    W_t = N_t D_(t-1) - N_(t-1) D_t gains a factor z per bound, and with
-    D_t(0) = +-1 the difference N_t/D_t - N_(t-1)/D_(t-1) = W_t/(D_t D_(t-1))
-    starts at z^val(W_t).  Each expansion therefore reuses the previous one
-    below that power and runs the quotient recurrence only above it."""
-    from .bounded import bounded_gf_sweep
-
-    yield from repeat(0, end or 0)
-    gfs = bounded_gf_sweep(end, orientation)
-    gf, nxt = next(gfs), next(gfs)
-    w = (nxt.num * gf.den - gf.num * nxt.den).coeffs
-    same = next(i for i, c in enumerate(w) if c)  # val(W_(t0+1))
-    coeffs = gf.expand(n + 1).coeffs
-    yield coeffs[n]
-    for gf in chain([nxt], gfs):
-        coeffs = gf.expand(n + 1, coeffs[:same]).coeffs
-        yield coeffs[n]
-        same += 1
-
-
 def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") -> HeightStats:
     """Exact mean of the max-height statistic over the family at length n.
 
     `route` selects how the bounded counts c_t(n) are produced, each by one
-    sweep of the bound t.  "gf" steps the exact rational generating
-    functions' numerators and denominators up in t and expands each bound
-    only from the first power where it differs from the bound before; "dp"
-    advances one unbounded dynamic program in lockstep with t and finishes
-    each bound from a copy of its state.  Both are exact and independent of
+    sweep of the bound t from the end height k up.  "gf" steps the exact
+    rational generating functions' numerators and denominators up in t and
+    expands each bound only from the first power where it differs from the
+    bound before; "dp" advances one unbounded dynamic program in lockstep
+    with t and finishes each bound from a copy of its state.  Both are exact and independent of
     each other and of the closed forms: each takes the family's size from
     its own count at t = n + k.  They cross-check each other in the tests,
     and the closed forms check those sizes there.  `k` is the end
@@ -92,11 +70,15 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
 
     end, orientation = _family_model(family, k)
     PathQuery(n, end, EndKind.ANY, orientation)
-    counts = (_gf_bounded_counts if route == "gf" else _bound_sweep)(n, end, orientation)
-    # No member is higher than n + k: right to left every rise is a unit
-    # step, and left to right every height above k costs a unit fall.
-    c = [*islice(counts, n + (k or 0) + 1)]
-    mean = Fraction(sum(c[-1] - c_t for c_t in c), c[-1])
+    if route == "gf":
+        from .bounded import _gf_bound_sweep as sweep
+    else:
+        sweep = _bound_sweep
+    # Every member is at least k high, and none is higher than n + k: right
+    # to left every rise is a unit step, and left to right every height
+    # above k costs a unit fall.
+    c = [*islice(sweep(n, end, orientation), n + 1)]
+    mean = (k or 0) + Fraction(sum(c[-1] - c_t for c_t in c), c[-1])
     spn = math.sqrt(math.pi * n)
     return HeightStats(n=n, family=family, k=k, mean_height=mean, sqrt_pi_n=spn,
                        ratio=float(mean) / spn)

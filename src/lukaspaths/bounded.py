@@ -6,12 +6,12 @@ order) with right-hand side (-1, 0, ..., 0)^T; state (h, kind) is a path at
 height h whose last step is up (f), down (g) or flat (h), and each row is
 read off the step set of the orientation.  The determinant D_t of the
 coefficient matrix satisfies D_{t+2} = -D_{t+1} - z D_t and equals, up to
-sign, the Fibonacci polynomial; the Cramer numerators N_k^t satisfy the same
-length recurrence plus orientation-specific shift rules.  The library solves
-the system by these recurrences alone: `d_poly` and `n_poly` compute D_t and
-N_k^t, and `bounded_gf_sweep` steps one family's generating function up in
+sign, the Fibonacci polynomial; every Cramer numerator N_k^t is a signed
+z-shift of one D_t' by orientation-specific shift rules.  The library solves
+the system by the recurrence alone: `d_poly` and `n_poly` compute D_t and
+N_k^t, and the gf route of the mean height sweeps one family's counts up in
 t.  The matrix itself and its determinant are written out only in the tests,
-which check the recurrences against them.
+which check the recurrence and the shift rules against them.
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from typing import Iterator, Optional
 
 from .core import EndKind, Orientation
 from .series import IntPoly, RationalGF
-
-_D_ANCHOR = (IntPoly([-1]), IntPoly([1]))  # D_{-2}, D_{-1}: the recurrence then gives D_0, D_1
 
 
 def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -30,41 +28,38 @@ def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return b, -b - a.shift_up(1)
 
 
-def _nth(a: IntPoly, b: IntPoly, t: int) -> IntPoly:
-    """x_t of the length recurrence from x_0 = a and x_1 = b."""
-    if t == 0:
-        return a
-    for _ in range(t - 1):
+def _d(t: int) -> IntPoly:
+    """D_t for t >= -3 by the length recurrence from D_{-3} = 0 and
+    D_{-2} = -1."""
+    a, b = IntPoly(), IntPoly([-1])
+    for _ in range(t + 3):
         a, b = _step(a, b)
-    return b
+    return a
 
 
 def d_poly(t: int) -> IntPoly:
-    """D_t by the linear recurrence D_{t+2} = -D_{t+1} - z D_t, anchored at
-    D_{-2} = -1 and D_{-1} = 1 (so D_0 = z - 1 and D_1 = 1 - 2z)."""
+    """D_t by the linear recurrence D_{t+2} = -D_{t+1} - z D_t (so
+    D_0 = z - 1 and D_1 = 1 - 2z)."""
     if t < 0:
         raise ValueError("bound must be nonnegative")
-    return _nth(*_D_ANCHOR, t + 2)
+    return _d(t)
 
 
-# initial N_k^t values for k in {1, 2, 3}, t in {0, 1}, shared by both
-# orientations; everything else follows from the recurrences
-_N_BASE = {
-    1: (IntPoly([-1, 1]), IntPoly([1, -2])),
-    2: (IntPoly([]), IntPoly([0, 0, 1])),
-    3: (IntPoly([0, -1]), IntPoly([0, 1, -1])),
-}
+# (flip, power, offset) of the base columns idx = 1, 2, 3:
+# N_idx^t = (-1)^flip z^power D_{t+offset}
+_BASE = {1: (0, 0, 0), 2: (1, 2, -3), 3: (1, 1, -1)}
 
 
 def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntPoly:
     """Cramer numerator N_idx^t by recurrence.
 
-    Columns 1..3 follow N^{t+2} = -N^{t+1} - z N^t from tabulated starts.
-    Higher columns reduce by the orientation's shift rule: left-to-right uses
-    N_{k+3}^{t+1} = -N_k^t down to columns 4..6, which are N_4 = N_3,
-    N_5 = -N_2^{t-1}, N_6 = N_2; right-to-left uses N_k^{t+1} = -z N_{k-3}^t.
-    Applied r times, a rule is one sign (-1)^r and, right-to-left, the power
-    z^r, so every column is a signed shift of a column 1..3.
+    The base columns are shifts of D: N_1^t = D_t, N_2^t = -z^2 D_{t-3} and
+    N_3^t = -z D_{t-1}.  Higher columns reduce by the orientation's shift
+    rule: left-to-right uses N_{k+3}^{t+1} = -N_k^t down to columns 4..6,
+    which are N_4 = N_3, N_5 = -N_2^{t-1}, N_6 = N_2; right-to-left uses
+    N_k^{t+1} = -z N_{k-3}^t.  Applied r times, a rule is one sign (-1)^r
+    and, right-to-left, the power z^r, so every column is a signed z-shift
+    of one D_t'.
     """
     if t < 0:
         raise ValueError("bound must be nonnegative")
@@ -80,8 +75,9 @@ def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntP
         if idx == 5:  # N_5^t = -N_2^{t-1}
             r, t = r + 1, t - 1
         idx = 3 if idx == 4 else 2
-    base = _nth(*_N_BASE[idx], t).shift_up(shift)
-    return -base if r % 2 else base
+    flip, power, offset = _BASE[idx]
+    col = _d(t + offset).shift_up(shift + power)
+    return -col if (r + flip) % 2 else col
 
 
 _OFFSETS = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
@@ -122,30 +118,36 @@ def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> Rati
         raise ValueError("bound must be nonnegative")
     if orientation is Orientation.L2R:
         return RationalGF(IntPoly([(-1) ** (t + 1)]), d_poly(t))
-    return RationalGF(_nth(*_D_ANCHOR, t), d_poly(t))
+    return RationalGF(_d(t - 2), d_poly(t))
 
 
-def bounded_gf_sweep(k: Optional[int], orientation: Orientation) -> Iterator[RationalGF]:
-    """`bounded_gf(t, k, EndKind.ANY, orientation)` for t = k, k+1, ... in
-    turn; with k None, `total_bounded_gf(t, R2L)` for t = 0, 1, ...
+def _gf_bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
+    """c_t(n), the n-th coefficient of `bounded_gf(t, k, EndKind.ANY,
+    orientation)`, for t = k, k+1, ...; with k None, of
+    `total_bounded_gf(t, R2L)` for t = 0, 1, ...
 
-    Each numerator column is a signed z-shift of a base column at t - r with
-    r fixed by the column, and the right-to-left total's numerator is
-    D_{t-2}, so numerator and D_t follow the same length recurrence: after
-    the first two bounds every bound costs two recurrence steps, and only
-    the last two (N, D_t) pairs are kept.  The raw pairs are stepped, since
-    `RationalGF` flips signs to make den(0) > 0 and D_t(0) = (-1)^(t+1).
+    Each numerator column is a signed z-shift of D_{t-r} with r fixed by the
+    column, and the right-to-left total's numerator is D_{t-2}, so numerator
+    and D_t follow the same length recurrence: after the first two bounds
+    every bound costs two recurrence steps, and only the last two (N, D_t)
+    pairs are kept.  The raw pairs are stepped, since `RationalGF` flips
+    signs to make den(0) > 0 and D_t(0) = (-1)^(t+1).  The Casoratian W_t = N_t D_(t-1) - N_(t-1) D_t then
+    gains a factor z per bound, and with D_t(0) = +-1 the difference
+    N_t/D_t - N_(t-1)/D_(t-1) = W_t/(D_t D_(t-1)) starts at z^val(W_t).
+    Each expansion therefore reuses the previous one below that power and
+    runs the quotient recurrence only above it.
     """
     if k is None:
-        if orientation is not Orientation.R2L:
-            raise ValueError("only the right-to-left total is swept")
-        t0, num = 0, _D_ANCHOR
-    elif k < 0:
-        raise ValueError("end height must be nonnegative")
+        t0, num = 0, (_d(-2), _d(-1))
     else:
         t0 = k
         num = tuple(_numerator(t, k, EndKind.ANY, orientation) for t in (k, k + 1))
     den = (d_poly(t0), d_poly(t0 + 1))
+    w = (num[1] * den[0] - num[0] * den[1]).coeffs
+    same = next(i for i, c in enumerate(w) if c)  # val(W_(t0+1))
+    coeffs = RationalGF(num[0], den[0]).expand(n + 1).coeffs
     while True:
-        yield RationalGF(num[0], den[0])
+        yield coeffs[n]
         num, den = _step(*num), _step(*den)
+        coeffs = RationalGF(num[0], den[0]).expand(n + 1, coeffs[:same]).coeffs
+        same += 1

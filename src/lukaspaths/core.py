@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from operator import add
 from typing import Iterator, Optional
 
@@ -338,8 +338,8 @@ def _walk_end(walk: list[int], end: Optional[int]) -> int:
 
 def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
     """``dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t))`` for
-    t = 0, 1, ... (0 while t < k), without end; k may be None right to left
-    only.
+    t = k, k + 1, ..., without end; k may be None (t = 0, 1, ...) right to
+    left only.
 
     This is `dp_count`'s walk, from `start` to `end`.  After i steps it is
     at most start + i high, so bound t cannot bind during the first
@@ -348,7 +348,6 @@ def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator
     t; only the current states are kept.
     """
     start, end = (k, 0) if orientation is Orientation.L2R else (0, k)
-    yield from repeat(0, k or 0)
     state, i = [1] + [0] * start, 0  # the unbounded run after i steps
     for t in count(k or 0):
         while i < min(t - start, n):

@@ -193,10 +193,7 @@ def read_bfile(path: str | Path) -> dict[int, int]:
 
 def bundled_bfile(name: str) -> Path:
     """Path of a fixture shipped with the package."""
-    import importlib.resources
-
-    resource = importlib.resources.files("lukaspaths").joinpath("data", name)
-    return Path(str(resource))
+    return Path(__file__).parent / "data" / name
 
 
 def compare_bfile(

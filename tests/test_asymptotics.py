@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from lukaspaths.asymptotics import (
     FAMILIES,
     _family_model,
-    _gf_bounded_counts,
     avg_height,
     substitution_check,
 )
-from lukaspaths.bounded import bounded_gf, bounded_gf_sweep, d_poly, n_poly, total_bounded_gf
+from lukaspaths.bounded import _gf_bound_sweep, bounded_gf, d_poly, n_poly, total_bounded_gf
 from lukaspaths.core import (
     EndKind,
     Orientation,
@@ -121,7 +120,8 @@ def test_each_route_counts_its_own_family(route, blocked):
 
 def test_each_routes_family_size_is_the_closed_form():
     """c_(n+k)(n), the count at a height no member exceeds, is the family's
-    size by either route; the closed forms check it here."""
+    size by either route; the closed forms check it here.  Both sweeps start
+    at t = k, so it is their n-th value."""
     for family, k in SMALL_K:
         end, orientation = _family_model(family, k)
         for n in range(1, 41):
@@ -130,9 +130,9 @@ def test_each_routes_family_size_is_the_closed_form():
             else:
                 count = prefix_count if orientation is Orientation.L2R else suffix_count
                 want = count(n, end, EndKind.ANY)
-            for sweep in (_gf_bounded_counts, _bound_sweep):
+            for sweep in (_gf_bound_sweep, _bound_sweep):
                 counts = sweep(n, end, orientation)
-                assert next(islice(counts, n + (k or 0), None)) == want, (family, k, n)
+                assert next(islice(counts, n, None)) == want, (family, k, n)
 
 
 def test_prefix_at_k_above_the_length():
@@ -148,29 +148,32 @@ def test_prefix_at_k_above_the_length():
             avg_height(3, "suffix-at-k", k=4, route=route)
 
 
+def _family_gf(t, end, orientation):
+    """The family's generating function at bound t: the right-to-left total
+    when end is None, else the kind-Any family ending at height end."""
+    if end is None:
+        return total_bounded_gf(t, orientation)
+    return bounded_gf(t, end, EndKind.ANY, orientation)
+
+
 def test_gf_counts_match_each_bounds_expansion():
     # one order-31 expansion per bound serves every n <= 30 of that bound
     for family, k in FAMILY_GRID:
         end, orientation = _family_model(family, k)
-        reference = []
-        for t in range(30 + (k or 0) + 2):
-            if end is None:
-                reference.append(total_bounded_gf(t, orientation).coefficients_int(31))
-            elif t < end:
-                reference.append([0] * 31)
-            else:
-                reference.append(bounded_gf(t, end, EndKind.ANY, orientation).coefficients_int(31))
+        # one row per bound t = k .. k + 31, up to saturation for every n <= 30
+        reference = [_family_gf(t, end, orientation).coefficients_int(31)
+                     for t in range(k or 0, 30 + (k or 0) + 2)]
         for n in range(0, 31):
-            stop = n + (k or 0) + 2
-            got = list(islice(_gf_bounded_counts(n, end, orientation), stop))
+            stop = n + 2
+            got = list(islice(_gf_bound_sweep(n, end, orientation), stop))
             assert got == [row[n] for row in reference[:stop]], (family, k, n)
 
 
 def test_casoratian_valuation_rises_by_one_per_bound():
-    # W_t = N_t D_(t-1) - N_(t-1) D_t, by direct products of the sweep's GFs
+    # W_t = N_t D_(t-1) - N_(t-1) D_t, by direct products of each bound's GF
     for family, k in FAMILY_GRID:
         end, orientation = _family_model(family, k)
-        gfs = list(islice(bounded_gf_sweep(end, orientation), 21))
+        gfs = [_family_gf(t, end, orientation) for t in range(k or 0, (k or 0) + 21)]
         vals = []
         for prev, cur in zip(gfs, gfs[1:]):
             w = (cur.num * prev.den - prev.num * cur.den).coeffs

@@ -5,7 +5,6 @@ import pytest
 
 from lukaspaths.bounded import (
     bounded_gf,
-    bounded_gf_sweep,
     d_poly,
     n_poly,
     total_bounded_gf,
@@ -322,34 +321,6 @@ def test_bound_sweep_return_to_zero_matches_gf_route():
         for t in range(0, n + 1):
             via_gf = bounded_gf(t, 0, EndKind.ANY).coefficients_int(n + 1)[n]
             assert hd[t] == via_gf, (n, t)
-
-
-# (end height or None for the total, orientation) of the four finite
-# mean-height families, with k = 0..4 for the *-at-k ones
-SWEEP_FAMILIES = (
-    [(0, Orientation.L2R), (None, Orientation.R2L)]
-    + [(k, o) for k in range(5) for o in (Orientation.L2R, Orientation.R2L)]
-)
-
-
-@pytest.mark.parametrize("k,orientation", SWEEP_FAMILIES)
-def test_sweep_matches_rebuilt_gf(k, orientation):
-    # bounds up to saturation for every length n <= 40: c_t(n) is the full
-    # count once t > n + k
-    start = k or 0
-    swept = bounded_gf_sweep(k, orientation)
-    for t, gf in zip(range(start, 40 + start + 2), swept):
-        if k is None:
-            assert gf == total_bounded_gf(t, orientation), t
-        else:
-            assert gf == bounded_gf(t, k, EndKind.ANY, orientation), t
-
-
-def test_sweep_argument_checks():
-    with pytest.raises(ValueError, match="nonnegative"):
-        next(bounded_gf_sweep(-1, Orientation.L2R))
-    with pytest.raises(ValueError, match="right-to-left total"):
-        next(bounded_gf_sweep(None, Orientation.L2R))
 
 
 def test_d_poly_rejects_negative_bound():

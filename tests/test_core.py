@@ -336,17 +336,14 @@ def test_monotone_in_bound():
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
 def test_bound_sweep_matches_dp_count_per_bound(orientation):
-    # every bound of the sweep, from t = 0 to one past saturation
+    # every bound of the sweep, from t = k to one past saturation
     ends = range(6) if orientation is Orientation.L2R else [None, *range(6)]
     for k in ends:
         for n in range(0, 31):
-            stop = n + (k or 0) + 2
-            want = [
-                0 if k is not None and t < k
-                else dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t))
-                for t in range(stop)
-            ]
-            assert list(islice(_bound_sweep(n, k, orientation), stop)) == want, (k, n)
+            bounds = range(k or 0, n + (k or 0) + 2)
+            want = [dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t))
+                    for t in bounds]
+            assert list(islice(_bound_sweep(n, k, orientation), len(bounds))) == want, (k, n)
 
 
 @settings(max_examples=40)

@@ -15,7 +15,7 @@ PUBLIC = [
     "EndKind", "InfiniteFamilyError", "OracleCapError", "Orientation", "PathQuery",
     "dp_count", "enumerate_count", "enumerate_profile", "DEFAULT_ORDER", "IntPoly",
     "RationalGF", "Series", "catalan_gf", "prefix_count", "prefix_series",
-    "suffix_count", "suffix_series", "bounded_gf", "bounded_gf_sweep", "d_poly", "n_poly",
+    "suffix_count", "suffix_series", "bounded_gf", "d_poly", "n_poly",
     "total_bounded_gf", "SexticRoot", "alt_asymptotic", "alt_series", "dominant_root",
     "s1_series", "FAMILIES", "HeightStats", "avg_height", "substitution_check",
 ]
