@@ -3,8 +3,8 @@
 The layered system for these paths has the bivariate kernel
 (1 + z^2) u^2 - (1 - 2z^3) u + z^2, whose roots in u are the algebraic series
 s1 (constant term 1) and s2 = z^2 / ((1 + z^2) s1) (valuation 2).  Every
-closed form below is a Laurent-free combination of z and powers of s1; the
-flat-ending paths at height 0 are generated by s2 / z.
+family is a sum of z-polynomials times powers of 1/s1, over 1 + z^2, read
+from one table; the flat-ending paths at height 0 are generated by s2 / z.
 
 The dominant singularity of the height-0 series is the smallest positive
 root of 4z^6 - 4z^4 - 4z^3 - 4z^2 + 1, located between 0 and 1/2 and computed
@@ -13,6 +13,7 @@ here by exact-rational bisection.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .core import EndKind
@@ -39,36 +40,42 @@ def s1_series(order: int = DEFAULT_ORDER) -> Series:
     return (_ONE_MINUS_2Z3.to_series(order) + root) / _TWO_PLUS_2Z2.to_series(order)
 
 
+#: The rows (a_0, a_1, ...) of each kind, for k >= 1 and then k = 0: the
+#: family is sum_j a_j r^(k+j) / (1 + z^2) with r = 1/s1.  At k = 0 up is the
+#: empty path alone and flat is s2 / z; Any is the sum of the kind rows.
+_ROWS = {
+    EndKind.UP: (IntPoly([0, 1, 1]),),
+    EndKind.FLAT: (IntPoly([0, -1, 1]), IntPoly([0, 1])),
+    EndKind.DOWN: (IntPoly(), IntPoly([0, 0, 0, 2]), IntPoly([0, 0, 1])),
+}
+_ROWS_AT_0 = {**_ROWS, EndKind.UP: (_ONE_PLUS_Z2,), EndKind.FLAT: (IntPoly(), IntPoly([0, 1]))}
+for _rows in (_ROWS, _ROWS_AT_0):
+    _rows[EndKind.ANY] = tuple(
+        sum(col, IntPoly()) for col in zip_longest(*_rows.values(), fillvalue=IntPoly())
+    )
+
+
 def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) -> Series:
     """Generating function of alternate prefixes ending at height k with the
-    given kind of step, from the post-kernel closed forms.
+    given kind of step: sum_j a_j r^(k+j) / (1 + z^2) over its `_ROWS` row.
 
-    Every family is num / ((1 + z^2) s1^(k+e)): one power of the kernel root
-    per call, with e = 0 for up, 1 for flat and 2 for down and Any.  The k = 0
-    members carry the start-state corrections: the up family is the constant 1
-    (only the empty path), the flat family is s2 / z (num = z), and the Any
-    family has its own numerator.
+    The kernel's root sum s1 + s2 = (1 - 2z^3)/(1 + z^2) and product
+    s1 s2 (1 + z^2) = z^2 give r = 1/s1 = (1 - 2z^3 - (1 + z^2) s1) / z^2, a
+    short product and a shift, so the only series divisions are by 2 + 2z^2
+    in `s1_series` and by 1 + z^2.  No power of r past the row's end is taken.
     """
     if k < 0:
         raise ValueError("end height must be nonnegative")
-    if kind is EndKind.UP and k == 0:
-        return Series.one(order)
-    s1 = s1_series(order)
-    z = Series.z(order)
-    if kind is EndKind.UP:
-        num, e = z * (z + 1), 0
-    elif kind is EndKind.DOWN:
-        num, e = (z * z) * (2 * z * s1 + 1), 2
-    elif kind is EndKind.FLAT:
-        num, e = (z if k == 0 else z * ((z - 1) * s1 + 1)), 1
-    else:
-        s1s1, z2 = s1 * s1, z * z
-        if k == 0:
-            num = s1s1 * z2 + 2 * s1 * z2 * z + s1s1 + s1 * z + z2
-        else:
-            num = z * (2 * s1s1 * z + 2 * s1 * z2 + s1 + z)
-        e = 2
-    return num / (_ONE_PLUS_Z2.to_series(order) * s1 ** (k + e))
+    if order < 1:
+        raise ValueError("order must be positive")
+    m = order + 2
+    r = (_ONE_MINUS_2Z3.to_series(m) - _ONE_PLUS_Z2.to_series(m) * s1_series(m)).shift_down(2)
+    num, power = Series.constant(0, order), r**k
+    for j, a in enumerate((_ROWS_AT_0 if k == 0 else _ROWS)[kind]):
+        if j:
+            power = power * r
+        num = num + a.to_series(order) * power
+    return num / _ONE_PLUS_Z2.to_series(order)
 
 
 class SexticRoot(NamedTuple):

@@ -45,38 +45,33 @@ def d_poly(t: int) -> IntPoly:
     return _d(t)
 
 
-# (flip, power, offset) of the base columns idx = 1, 2, 3:
+# (flip, power, offset) of the columns idx = 1..6:
 # N_idx^t = (-1)^flip z^power D_{t+offset}
-_BASE = {1: (0, 0, 0), 2: (1, 2, -3), 3: (1, 1, -1)}
+_BASE = {1: (0, 0, 0), 2: (1, 2, -3), 3: (1, 1, -1), 4: (1, 1, -1), 5: (0, 2, -4), 6: (1, 2, -3)}
 
 
 def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntPoly:
     """Cramer numerator N_idx^t by recurrence.
 
-    The base columns are shifts of D: N_1^t = D_t, N_2^t = -z^2 D_{t-3} and
-    N_3^t = -z D_{t-1}.  Higher columns reduce by the orientation's shift
-    rule: left-to-right uses N_{k+3}^{t+1} = -N_k^t down to columns 4..6,
-    which are N_4 = N_3, N_5 = -N_2^{t-1}, N_6 = N_2; right-to-left uses
-    N_k^{t+1} = -z N_{k-3}^t.  Applied r times, a rule is one sign (-1)^r
-    and, right-to-left, the power z^r, so every column is a signed z-shift
-    of one D_t'.
+    Columns 1..6 are the signed z-shifts of D in `_BASE`: N_1^t = D_t,
+    N_2^t = -z^2 D_{t-3}, N_3^t = -z D_{t-1} and, left to right,
+    N_4^t = -z D_{t-1}, N_5^t = z^2 D_{t-4}, N_6^t = -z^2 D_{t-3}.  Higher
+    columns reduce r times by the orientation's shift rule: left-to-right
+    N_{k+3}^{t+1} = -N_k^t, r = (idx - 4) // 3, down to columns 4..6;
+    right-to-left N_k^{t+1} = -z N_{k-3}^t, r = (idx - 1) // 3, down to
+    columns 1..3.  Applied r times, a rule is one sign (-1)^r, the offset -r
+    and, right-to-left, the power z^r.
     """
     if t < 0:
         raise ValueError("bound must be nonnegative")
     if not 1 <= idx <= 3 * (t + 1):
         raise ValueError(f"column index {idx} out of range for bound {t}")
-    r = shift = 0
     if orientation is Orientation.R2L:
         r = shift = (idx - 1) // 3
-        idx, t = idx - 3 * r, t - r
-    elif idx > 3:
-        r = (idx - 4) // 3
-        idx, t = idx - 3 * r, t - r
-        if idx == 5:  # N_5^t = -N_2^{t-1}
-            r, t = r + 1, t - 1
-        idx = 3 if idx == 4 else 2
-    flip, power, offset = _BASE[idx]
-    col = _d(t + offset).shift_up(shift + power)
+    else:
+        r, shift = max((idx - 4) // 3, 0), 0
+    flip, power, offset = _BASE[idx - 3 * r]
+    col = _d(t - r + offset).shift_up(shift + power)
     return -col if (r + flip) % 2 else col
 
 

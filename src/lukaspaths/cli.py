@@ -267,13 +267,11 @@ def cmd_height(args: argparse.Namespace) -> int:
         }
         print(json.dumps(record))
     else:
-        print(f"family {args.family}" + (f" (k={args.k})" if args.k is not None else ""))
-        print("n mean sqrt_pi_n ratio")
-        for st in stats:
-            print(
-                f"{st.n} {st.mean_height} "
-                f"{st.sqrt_pi_n:.{args.precision}f} {st.ratio:.{args.precision}f}"
-            )
+        # Render every line before writing any: a refused precision then
+        # leaves standard output empty.
+        p, k = args.precision, f" (k={args.k})" if args.k is not None else ""
+        rows = [f"{st.n} {st.mean_height} {st.sqrt_pi_n:.{p}f} {st.ratio:.{p}f}" for st in stats]
+        print("\n".join([f"family {args.family}{k}", "n mean sqrt_pi_n ratio", *rows]))
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lukaspaths import series
 from lukaspaths.alternate import (
     alt_asymptotic,
     alt_series,
@@ -75,6 +76,31 @@ def test_h0_series_matches_flat_end_dynamic_program():
 @pytest.mark.parametrize("k,row", ALT_ROWS.items())
 def test_alt_any_printed_rows(k, row):
     assert alt_series(k, EndKind.ANY, 10).integer_coefficients() == row
+
+
+def test_alternate_families_divide_by_no_dense_series(monkeypatch):
+    """r = 1/s1 comes from the kernel's root sum and product, so every
+    family divides only by 2 + 2z^2 (inside s1) and 1 + z^2, never by a
+    power of s1."""
+    divisors = []
+    quotient = series._quotient
+
+    def recorded(a, b, m, known=()):
+        divisors.append(sum(1 for c in b[:m] if c))
+        return quotient(a, b, m, known)
+
+    monkeypatch.setattr(series, "_quotient", recorded)
+    for k in range(7):
+        for kind in KINDS:
+            alt_series(k, kind, 224)
+    assert divisors and max(divisors) <= 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_alt_series_equals_dp_at_n_300(k):
+    # far past the wide grid's order 41 and the hypothesis kernels' order 80
+    for kind in KINDS:
+        assert alt_series(k, kind, 301)[300] == _alt_dp(300, k, kind), kind
 
 
 def test_alt_series_examples():

@@ -276,6 +276,15 @@ def test_height_rejects_negative_precision(capsys, fmt):
     assert captured.out == "" and "--precision" in captured.err
 
 
+def test_height_refused_precision_writes_nothing(capsys):
+    # every text line is rendered before any is written; JSON rounds instead
+    argv = ("height", "--family", "return-to-zero", "--n-list", "3",
+            "--precision", "100000000000")
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_DOMAIN and out == "" and "precision too big" in err
+    assert run_cli(capsys, *argv, "--format", "json")[0] == EXIT_OK
+
+
 def test_selftest_quick(capsys):
     started = time.perf_counter()
     rc, out, _ = run_cli(capsys, "selftest", "--quick")

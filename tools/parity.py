@@ -114,6 +114,8 @@ def grid(bfiles: Path) -> list[Case]:
         for fmt, order in product(("text", "csv", "json"), (1, 12)):
             add("series", *flags, "--order", order, "--format", fmt)
     add("series", "--k", 1, "--order", 300)
+    for k, kind in product((0, 3), _KINDS):
+        add("series", "--k", k, "--kind", kind, "--alternate", "--order", 300)
     add("series", "--total", "--bound", 3, "--order", 300, "--format", "json")
     add("series", "--k", 1, LUKAS_ORDER="7")
 
