@@ -78,13 +78,6 @@ def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntP
 _OFFSETS = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
 
 
-def _numerator(t: int, k: int, kind: EndKind, orientation: Orientation) -> IntPoly:
-    num = IntPoly()
-    for off in _OFFSETS[kind]:
-        num = num + n_poly(t, 3 * k + off, orientation)
-    return num
-
-
 def bounded_gf(
     t: int,
     k: int,
@@ -92,18 +85,19 @@ def bounded_gf(
     orientation: Orientation = Orientation.L2R,
 ) -> RationalGF:
     """Generating function of height-bounded paths ending at height k with
-    the given kind of step, as the Cramer solution N/(D_t).
-
-    The sign bookkeeping lives in the N polynomials themselves, so expansions
-    compare directly with counts.
-    """
+    the given kind of step, as the Cramer solution N/D_t: N is the sum of
+    the kind's `n_poly` columns and D_t is `d_poly(t)`, the determinant.
+    The signs live in these polynomials, so expansions are the counts."""
     if k < 0:
         raise ValueError("end height must be nonnegative")
     if t < 0:
         raise ValueError("bound must be nonnegative")
     if k > t:
         raise ValueError(f"height above bound: k={k} > t={t}")
-    return RationalGF(_numerator(t, k, kind, orientation), d_poly(t))
+    num = IntPoly()
+    for off in _OFFSETS[kind]:
+        num = num + n_poly(t, 3 * k + off, orientation)
+    return RationalGF(num, d_poly(t))
 
 
 def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> RationalGF:
@@ -121,26 +115,24 @@ def _gf_bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Itera
     orientation)`, for t = k, k+1, ...; with k None, of
     `total_bounded_gf(t, R2L)` for t = 0, 1, ...
 
-    Each numerator column is a signed z-shift of D_{t-r} with r fixed by the
-    column, and the right-to-left total's numerator is D_{t-2}, so numerator
-    and D_t follow the same length recurrence: after the first two bounds
-    every bound costs two recurrence steps, and only the last two (N, D_t)
-    pairs are kept.  The raw pairs are stepped, since `RationalGF` flips
-    signs to make den(0) > 0 and D_t(0) = (-1)^(t+1).  The Casoratian W_t = N_t D_(t-1) - N_(t-1) D_t then
-    gains a factor z per bound, and with D_t(0) = +-1 the difference
-    N_t/D_t - N_(t-1)/D_(t-1) = W_t/(D_t D_(t-1)) starts at z^val(W_t).
-    Each expansion therefore reuses the previous one below that power and
-    runs the quotient recurrence only above it.
+    The GFs of the first two bounds seed the sweep.  Each numerator column
+    is a signed z-shift of D_{t-r} with r fixed by the column, and the
+    right-to-left total's numerator is D_{t-2}, so numerator and D_t follow
+    the same length recurrence: every later bound costs two recurrence
+    steps, and only the last two (N, D_t) pairs are kept.  The Casoratian
+    W_t = N_t D_(t-1) - N_(t-1) D_t then gains a factor z per bound, and
+    with D_t(0) = +-1 the difference N_t/D_t - N_(t-1)/D_(t-1) =
+    W_t/(D_t D_(t-1)) starts at z^val(W_t).  Each expansion therefore reuses
+    the previous one below that power and runs the quotient recurrence only
+    above it.
     """
-    if k is None:
-        t0, num = 0, (_d(-2), _d(-1))
-    else:
-        t0 = k
-        num = tuple(_numerator(t, k, EndKind.ANY, orientation) for t in (k, k + 1))
-    den = (d_poly(t0), d_poly(t0 + 1))
+    t0 = 0 if k is None else k
+    seeds = [total_bounded_gf(t, orientation) if k is None
+             else bounded_gf(t, k, EndKind.ANY, orientation) for t in (t0, t0 + 1)]
+    num, den = tuple(gf.num for gf in seeds), tuple(gf.den for gf in seeds)
     w = (num[1] * den[0] - num[0] * den[1]).coeffs
     same = next(i for i, c in enumerate(w) if c)  # val(W_(t0+1))
-    coeffs = RationalGF(num[0], den[0]).expand(n + 1).coeffs
+    coeffs = seeds[0].expand(n + 1).coeffs
     while True:
         yield coeffs[n]
         num, den = _step(*num), _step(*den)

@@ -292,20 +292,14 @@ class IntPoly:
 
 
 class RationalGF:
-    """A rational generating function num/den over Z[z] with den(0) != 0.
-
-    The sign is normalized so that den(0) > 0, which makes textbook
-    denominators like the Fibonacci polynomials come out positively.
-    """
+    """A rational generating function num/den over Z[z] with den(0) != 0,
+    kept with the signs it was built with."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: IntPoly, den: IntPoly):
-        d0 = den(0)
-        if d0 == 0:
+        if den(0) == 0:
             raise ValueError("non-expandable: denominator vanishes at z = 0")
-        if d0 < 0:
-            num, den = -num, -den
         self.num = num
         self.den = den
 

@@ -80,6 +80,16 @@ def test_avg_height_routes_agree_wide(family, n, k, data):
     assert gf.mean_height == dp.mean_height
 
 
+@pytest.mark.parametrize("family, k", [
+    ("return-to-zero", None), ("suffix-any", None), ("prefix-at-k", 4), ("suffix-at-k", 4),
+])
+def test_avg_height_routes_agree_at_n_128(family, k):
+    # n = 128 is the largest length of the benchmark's `height` workload
+    gf = avg_height(128, family, k=k, route="gf")
+    dp = avg_height(128, family, k=k, route="dp")
+    assert gf.mean_height == dp.mean_height
+
+
 def _dp_mean(n, k, orientation):
     """The mean height from one unbounded and one bounded `dp_count` per t;
     k is None for right-to-left paths with any end height."""

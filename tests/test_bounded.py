@@ -224,6 +224,22 @@ def test_bounded_gf_examples():
     assert got == dp_count(PathQuery(4, 2, EndKind.ANY, Orientation.R2L, bound=2))
 
 
+@pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
+def test_bounded_gf_keeps_the_determinant_as_denominator(orientation):
+    # rows f (up), g (down), h (flat) of height k are columns 3k+1, 3k+2, 3k+3
+    columns = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
+    for t in range(0, 9):
+        assert total_bounded_gf(t, orientation).den == d_poly(t), t
+        for k in range(0, t + 1):
+            for kind in KINDS:
+                gf = bounded_gf(t, k, kind, orientation)
+                num = ZERO
+                for off in columns[kind]:
+                    num = num + n_poly(t, 3 * k + off, orientation)
+                assert gf.den == d_poly(t), (t, k, kind)
+                assert gf.num == num, (t, k, kind)
+
+
 def test_bounded_gf_height_above_bound():
     with pytest.raises(ValueError, match="height above bound"):
         bounded_gf(2, 3, EndKind.ANY)

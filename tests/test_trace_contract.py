@@ -45,13 +45,10 @@ def test_selftest_runs_the_traced_oracle_and_dp():
     assert record["counts"]["core.oracle.paths"] > 0
 
 
-def test_height_gf_route_runs_the_traced_polynomial_kernels():
-    """The benchmark's `height` workload must keep reaching `IntPoly.__mul__`
-    (now only through the Casoratian product of the gf route), the Cramer
-    numerators and the rational expansion; a route that bypasses them would
-    zero those per-layer metrics without an error."""
+def _trace_height(*argv):
+    """The tracer's record of one `height --route gf` run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = ["height", "--family", "prefix-at-k", "--k", "3", "--n-list", "12", "--route", "gf"]
+    argv = ["height", *argv, "--n-list", "12", "--route", "gf"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
@@ -59,6 +56,23 @@ def test_height_gf_route_runs_the_traced_polynomial_kernels():
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
     assert len(lines) == 1, proc.stderr
-    record = json.loads(lines[0][len(MARKER):])
-    for name in ("series.IntPoly.mul", "bounded.n_poly", "series.RationalGF.expand"):
+    return json.loads(lines[0][len(MARKER):])
+
+
+def test_height_gf_route_runs_the_traced_polynomial_kernels():
+    """The benchmark's `height` workload must keep reaching `IntPoly.__mul__`
+    (now only through the Casoratian product of the gf route), the Cramer
+    numerators, the bounded GF constructor that seeds the sweep and the
+    rational expansion; a route that bypasses them would zero those
+    per-layer metrics without an error."""
+    record = _trace_height("--family", "prefix-at-k", "--k", "3")
+    for name in ("series.IntPoly.mul", "bounded.n_poly", "bounded.bounded_gf",
+                 "series.RationalGF.expand"):
         assert record["stats"][name][0] > 0, name
+
+
+def test_height_gf_route_seeds_the_total_from_its_constructor():
+    """`suffix-any` has no end height: its sweep is seeded by
+    `total_bounded_gf`, whose per-layer metric would read 0 otherwise."""
+    record = _trace_height("--family", "suffix-any")
+    assert record["stats"]["bounded.total_bounded_gf"][0] > 0

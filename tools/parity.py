@@ -10,9 +10,11 @@ Every case calls `lukaspaths.cli.main` with its argv and records the exit
 code (a `SystemExit` included), standard output and standard error.
 
 The grid covers `count` over every engine, format and query shape, with
-refusals and oracle caps; `series` in every format; `check` against bundled,
-missing and malformed b-files; `height` for every family and route;
-`selftest --quick`; every help text; and the usage and domain errors.
+refusals and oracle caps; `series` in every format, with alternate and
+bounded rows to order 300 at bounds 40 and 41; `check` against bundled,
+missing and malformed b-files; `height` for every family and route, and by
+the gf route at n = 128; `selftest --quick`; every help text; and the usage
+and domain errors.
 
 One line is printed per differing (argv, stream), where the stream is
 `exit`, `stdout` or `stderr`; then one tally line per distinct (stream,
@@ -117,6 +119,12 @@ def grid(bfiles: Path) -> list[Case]:
     for k, kind in product((0, 3), _KINDS):
         add("series", "--k", k, "--kind", kind, "--alternate", "--order", 300)
     add("series", "--total", "--bound", 3, "--order", 300, "--format", "json")
+    # deep bounded cases at both parities of the bound, since D_t(0) = (-1)^(t+1)
+    for k, kind, orientation, bound in product((0, 3), ("any", "up"), _ORIENTATIONS, (40, 41)):
+        add("series", "--k", k, "--kind", kind, "--orientation", orientation,
+            "--bound", bound, "--order", 300)
+    for bound, orientation in product((40, 41), _ORIENTATIONS):
+        add("series", "--total", "--bound", bound, "--orientation", orientation, "--order", 300)
     add("series", "--k", 1, LUKAS_ORDER="7")
 
     data = Path("src/lukaspaths/data")
@@ -145,6 +153,10 @@ def grid(bfiles: Path) -> list[Case]:
             add("height", "--family", family, "--n-list", "1,2,5,16", "--route", route,
                 *flags, "--format", fmt)
         add("height", "--family", family, "--n-list", "0,3", "--k", 1, "--precision", 2)
+    for family in ("return-to-zero", "prefix-at-k", "suffix-at-k", "suffix-any"):
+        flags = ["--k", 3] if family.endswith("-at-k") else []
+        add("height", "--family", family, "--n-list", 128, "--route", "gf", *flags,
+            "--format", "json")
     for n_list in ("", ",", "x", "3,-1"):
         add("height", "--family", "return-to-zero", "--n-list", n_list)
 
