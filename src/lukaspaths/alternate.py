@@ -86,9 +86,6 @@ class SexticRoot(NamedTuple):
     value: Fraction
     residual: Fraction
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def dominant_root(tolerance: Fraction | float | None = None) -> SexticRoot:
     """Locate the root in (0, 1/2) by bisection in exact rational arithmetic
@@ -96,7 +93,9 @@ def dominant_root(tolerance: Fraction | float | None = None) -> SexticRoot:
 
     p(0) = 1 > 0 and p(1/2) < 0 guarantee the sign change; the other factor
     of the sextic, 2z^3 + 2z^2 + 2z + 1, has no positive roots, so this is the
-    smallest positive real root overall.
+    smallest positive real root overall.  p(lo) > 0 > p(hi) throughout: no
+    midpoint k/2^m (m >= 2) is a root, as p is nonzero at its only rational
+    root candidates, +-1, +-1/2 and +-1/4.
     """
     from fractions import Fraction
 
@@ -104,15 +103,10 @@ def dominant_root(tolerance: Fraction | float | None = None) -> SexticRoot:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lo, hi = Fraction(0), Fraction(1, 2)
-    flo = _SEXTIC(lo)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        fmid = _SEXTIC(mid)
-        if fmid == 0:
-            lo = hi = mid
-            break
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+        if _SEXTIC(mid) > 0:
+            lo = mid
         else:
             hi = mid
     value = (lo + hi) / 2

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .core import FAMILIES, EndKind, Orientation, PathQuery, _bound_sweep
+from .core import FAMILIES, Orientation, _bound_sweep
 
 
 class HeightStats(NamedTuple):
@@ -50,8 +50,8 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
     its own count at t = n + k.  They cross-check each other in the tests,
     and the closed forms check those sizes there.  `k` is the end
     height of the *-at-k families and is rejected for the others; a
-    suffix-at-k family with k > n is empty and rejected too.  The family's
-    query is then checked as `PathQuery` checks it: a negative k raises
+    suffix-at-k family with k > n is empty and rejected too.  Each sweep
+    checks the family's query as `PathQuery` checks it: a negative k raises
     ValueError.  Every family in `FAMILIES` is finite.
     """
     if n < 1:
@@ -69,7 +69,6 @@ def avg_height(n: int, family: str, k: Optional[int] = None, route: str = "gf") 
         raise ValueError("route must be 'gf' or 'dp'")
 
     end, orientation = _family_model(family, k)
-    PathQuery(n, end, EndKind.ANY, orientation)
     if route == "gf":
         from .bounded import _gf_bound_sweep as sweep
     else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .core import EndKind, Orientation
+from .core import EndKind, Orientation, PathQuery
 from .series import IntPoly, RationalGF
 
 
@@ -113,7 +113,8 @@ def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> Rati
 def _gf_bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
     """c_t(n), the n-th coefficient of `bounded_gf(t, k, EndKind.ANY,
     orientation)`, for t = k, k+1, ...; with k None, of
-    `total_bounded_gf(t, R2L)` for t = 0, 1, ...
+    `total_bounded_gf(t, R2L)` for t = 0, 1, ...; what `PathQuery` refuses,
+    the left-to-right total included, raises before the first value.
 
     The GFs of the first two bounds seed the sweep.  Each numerator column
     is a signed z-shift of D_{t-r} with r fixed by the column, and the
@@ -126,6 +127,7 @@ def _gf_bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Itera
     the previous one below that power and runs the quotient recurrence only
     above it.
     """
+    PathQuery(n, k, EndKind.ANY, orientation)
     t0 = 0 if k is None else k
     seeds = [total_bounded_gf(t, orientation) if k is None
              else bounded_gf(t, k, EndKind.ANY, orientation) for t in (t0, t0 + 1)]

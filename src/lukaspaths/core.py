@@ -339,7 +339,7 @@ def _walk_end(walk: list[int], end: Optional[int]) -> int:
 def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
     """``dp_count(PathQuery(n, k, EndKind.ANY, orientation, bound=t))`` for
     t = k, k + 1, ..., without end; k may be None (t = 0, 1, ...) right to
-    left only.
+    left only; what `PathQuery` refuses raises before the first value.
 
     This is `dp_count`'s walk, from `start` to `end`.  After i steps it is
     at most start + i high, so bound t cannot bind during the first
@@ -347,6 +347,7 @@ def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator
     bound t continues a copy of its state for the remaining steps under cap
     t; only the current states are kept.
     """
+    PathQuery(n, k, EndKind.ANY, orientation)
     start, end = (k, 0) if orientation is Orientation.L2R else (0, k)
     state, i = [1] + [0] * start, 0  # the unbounded run after i steps
     for t in count(k or 0):

@@ -197,10 +197,7 @@ def bundled_bfile(name: str) -> Path:
 
 
 def compare_bfile(
-    table: dict[int, int],
-    computed: list[int],
-    shift: int = 0,
-    start: int = 0,
+    table: dict[int, int], computed: list[int], shift: int, start: int
 ) -> tuple[int, list[tuple[int, int, int]]]:
     """Compare computed[i] against the b-file value at index i - shift for
     every i >= start where both sides exist.  Returns (comparisons,

@@ -177,8 +177,6 @@ class Series:
 
     def shift_up(self, j: int) -> "Series":
         """Multiply by z^j, keeping the truncation order."""
-        if j == 0:
-            return self
         keep = max(self.order - j, 0)
         return Series((0,) * min(j, self.order) + self.coeffs[:keep])
 
@@ -245,16 +243,12 @@ class IntPoly:
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
         return IntPoly(_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
     def shift_up(self, j: int) -> "IntPoly":
         """Multiply by z^j."""
-        if self.is_zero():
-            return self
         return IntPoly([0] * j + list(self.coeffs))
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
@@ -268,8 +262,6 @@ class IntPoly:
         integer and each one past m is zero."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
         a, b = self.coeffs, other.coeffs
         m = max(len(a) - len(b) + 1, 0)
         q = _quotient(a[::-1], b[::-1], len(a))
@@ -284,16 +276,13 @@ class IntPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 
 
 class RationalGF:
     """A rational generating function num/den over Z[z] with den(0) != 0,
-    kept with the signs it was built with."""
+    kept with the signs it was built with; compare two by `num` and `den`."""
 
     __slots__ = ("num", "den")
 
@@ -312,14 +301,6 @@ class RationalGF:
     def coefficients_int(self, order: int) -> list[int]:
         """The expansion's coefficients as a list of ints."""
         return self.expand(order).integer_coefficients()
-
-    def __eq__(self, other) -> bool:
-        """Equality as rational functions (cross-multiplied)."""
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"RationalGF({self.num!r}, {self.den!r})"

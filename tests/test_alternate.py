@@ -4,6 +4,7 @@ import pytest
 
 from lukaspaths import series
 from lukaspaths.alternate import (
+    _SEXTIC,
     alt_asymptotic,
     alt_series,
     dominant_root,
@@ -164,6 +165,17 @@ def test_dominant_root_digits():
 def test_dominant_root_default_precision():
     root = dominant_root()
     assert root.residual < Fraction(1, 10**60)
+
+
+def test_the_sextic_has_no_rational_root():
+    """Why the bisection needs no branch for a midpoint that is a root: every
+    midpoint is a dyadic rational, and by the rational-root theorem a
+    rational root of 4z^6 - 4z^4 - 4z^3 - 4z^2 + 1 is +-1, +-1/2 or +-1/4."""
+    assert _SEXTIC.coeffs == (1, 0, -4, -4, -4, 0, 4)
+    candidates = [Fraction(s, q) for q in (1, 2, 4) for s in (1, -1)]
+    assert [_SEXTIC(z) for z in candidates] == [
+        -7, 1, Fraction(-11, 16), Fraction(5, 16), Fraction(689, 1024), Fraction(817, 1024),
+    ]
 
 
 def test_growth_rate_identity():

@@ -19,6 +19,7 @@ from lukaspaths.asymptotics import (
 from lukaspaths.bounded import _gf_bound_sweep, bounded_gf, d_poly, n_poly, total_bounded_gf
 from lukaspaths.core import (
     EndKind,
+    InfiniteFamilyError,
     Orientation,
     PathQuery,
     _bound_sweep,
@@ -204,6 +205,15 @@ def test_avg_height_infinite_family():
 def test_avg_height_rejects_a_negative_end_height(family, route):
     with pytest.raises(ValueError, match="^end height must be nonnegative$"):
         avg_height(5, family, k=-1, route=route)
+
+
+@pytest.mark.parametrize("sweep", [_gf_bound_sweep, _bound_sweep])
+def test_the_sweeps_refuse_the_left_to_right_total(sweep):
+    """Left to right, the total over end heights is finite only under a
+    bound, so neither sweep has a first value for it."""
+    for n in (0, 6):
+        with pytest.raises(InfiniteFamilyError, match="^infinite family"):
+            next(sweep(n, None, Orientation.L2R))
 
 
 def test_avg_height_argument_checks():

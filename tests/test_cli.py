@@ -285,12 +285,30 @@ def test_height_refused_precision_writes_nothing(capsys):
     assert run_cli(capsys, *argv, "--format", "json")[0] == EXIT_OK
 
 
+#: Comparisons per bundled fixture check at order 21: every index i >= start
+#: whose fixture index i - shift the b-file holds.
+SELFTEST_FIXTURE_COUNTS = (
+    ("b000108.txt", 21), ("b000245.txt", 21), ("b002057.txt", 20), ("b000344.txt", 20),
+    ("b000108.txt", 20), ("b000245.txt", 20), ("b002057.txt", 18), ("b001519.txt", 20),
+    ("b007051.txt", 20), ("b080937.txt", 20), ("b000012.txt", 21), ("b000079.txt", 21),
+    ("b001906.txt", 21), ("b003462.txt", 21), ("b005021.txt", 21), ("b000012.txt", 21),
+    ("b000079.txt", 21), ("b001519.txt", 21), ("b007051.txt", 21),
+)
+
+
 def test_selftest_quick(capsys):
     started = time.perf_counter()
     rc, out, _ = run_cli(capsys, "selftest", "--quick")
     elapsed = time.perf_counter() - started
     assert rc == EXIT_OK
-    assert "selftest: all checks passed" in out
+    assert out == "".join([
+        "cross-engine grid (n <= 6) ...\n",
+        "cross-engine grid: ok\n",
+        "fixture comparisons ...\n",
+        *(f"  {name}: {ncomp} comparisons, 0 mismatches [ok]\n"
+          for name, ncomp in SELFTEST_FIXTURE_COUNTS),
+        "selftest: all checks passed\n",
+    ])
     assert elapsed < 30.0
 
 

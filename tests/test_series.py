@@ -254,7 +254,15 @@ def test_shift_semantics():
     s = Series([1, 2, 3, 4])
     assert s.shift_up(2).coeffs == Series([0, 0, 1, 2]).coeffs
     assert s.shift_up(2).order == 4
+    assert s.shift_up(0) == s
+    assert IntPoly([0, 3]).shift_up(2) == IntPoly([0, 0, 0, 3])
+    assert IntPoly().shift_up(2) == IntPoly()
     t = Series([0, 0, 7, 9])
     assert t.shift_down(2).coeffs == Series([7, 9]).coeffs
     with pytest.raises(ValueError, match="valuation"):
         s.shift_down(1)
+
+
+def test_repr_shows_at_most_eight_coefficients():
+    assert repr(Series(range(8))) == "Series([0, 1, 2, 3, 4, 5, 6, 7] order=8)"
+    assert repr(Series(range(9))) == "Series([0, 1, 2, 3, 4, 5, 6, 7, ...] order=9)"

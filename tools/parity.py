@@ -13,8 +13,8 @@ The grid covers `count` over every engine, format and query shape, with
 refusals and oracle caps; `series` in every format, with alternate and
 bounded rows to order 300 at bounds 40 and 41; `check` against bundled,
 missing and malformed b-files; `height` for every family and route, and by
-the gf route at n = 128; `selftest --quick`; every help text; and the usage
-and domain errors.
+the gf route at n = 128; `selftest` with and without `--quick`; every help
+text; and the usage and domain errors.
 
 One line is printed per differing (argv, stream), where the stream is
 `exit`, `stdout` or `stderr`; then one tally line per distinct (stream,
@@ -160,6 +160,7 @@ def grid(bfiles: Path) -> list[Case]:
     for n_list in ("", ",", "x", "3,-1"):
         add("height", "--family", "return-to-zero", "--n-list", n_list)
 
+    add("selftest")
     add("selftest", "--quick")
 
     for command in ("count", "series", "check", "height", "selftest"):
