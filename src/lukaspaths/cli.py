@@ -24,7 +24,7 @@ from .core import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2          # argparse errors, invalid LUKAS_ORDER
+EXIT_USAGE = 2          # argparse errors
 EXIT_INFINITE = 3       # infinite-family queries
 EXIT_ORACLE_CAP = 4     # oracle asked beyond its cap
 EXIT_DISAGREE = 5       # engine disagreement, selftest or check failure
@@ -35,17 +35,13 @@ EXIT_INTERNAL = 8       # any other exception: a fault of the program
 _EPILOG = """\
 exit codes:
   0  success
-  2  usage error, or an invalid LUKAS_ORDER
+  2  usage error
   3  infinite family (unbounded left-to-right query with no end height)
   4  oracle cap exceeded
   5  engine disagreement / failed selftest or check
   6  unreadable or malformed b-file
   7  query outside the requested engine's or family's domain
   8  internal error (an unexpected exception, reported on one line)
-
-environment:
-  LUKAS_ORDER  default truncation order for series output (default 64);
-               a value that is not a positive integer exits 2
 """
 
 
@@ -74,22 +70,6 @@ def _report(line: str) -> None:
 def _internal_error(exc: Exception) -> int:
     _report(f"error: internal error: {type(exc).__name__}: {exc}")
     return EXIT_INTERNAL
-
-
-def _default_order() -> int:
-    raw = os.environ.get("LUKAS_ORDER")
-    if raw is None:
-        from .series import DEFAULT_ORDER
-
-        return DEFAULT_ORDER
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        _report(f"error: LUKAS_ORDER must be a positive integer, got {raw!r}")
-        raise SystemExit(EXIT_USAGE)
-    return value
 
 
 def _int_at_least(low: int, rule: str):
@@ -366,13 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Every input, LUKAS_ORDER included, is parsed under the interpreter's
-    # limit on integer string digits (Python 3.11, 3.10.7+); the limit is
-    # then lifted, so an answer of any length prints.
+    # The arguments are parsed under the interpreter's limit on integer
+    # string digits (Python 3.11, 3.10.7+); the limit is then lifted, so an
+    # answer of any length prints.
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "order", 0) is None:
-        args.order = _default_order()
+        from .series import DEFAULT_ORDER
+
+        args.order = DEFAULT_ORDER
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -397,8 +379,8 @@ def run() -> NoReturn:
     garbage collection and `atexit` handlers, about 10 ms of every call.
     Nothing in the command-line process may rely on an `atexit` handler,
     and a log handler must be flushed here before the exit.  A `SystemExit`
-    (argparse usage errors and --help, a bad LUKAS_ORDER) gives its status
-    as `sys.exit` would; any other exception takes the normal path.
+    (argparse usage errors and --help) gives its status as `sys.exit`
+    would; any other exception takes the normal path.
     """
     # Python sets a stream whose descriptor was closed at start-up to None.
     # Error lines then go nowhere, as into any stderr that cannot take them,

@@ -13,8 +13,7 @@ from operator import add, index, mul
 from typing import Any, Iterable, Sequence
 
 #: Default truncation order for generating-function expansions.  Overridable
-#: per call and, on the command line, through the LUKAS_ORDER environment
-#: variable.
+#: per call and, on the command line, by `--order` alone.
 DEFAULT_ORDER = 64
 
 

@@ -135,13 +135,15 @@ def test_series_alternate_needs_l2r_unbounded(capsys):
     assert out.strip() == "1,1,1,3,5,9,19,39,81,173"
 
 
-def test_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LUKAS_ORDER", "5")
-    rc, out, _ = run_cli(capsys, "series", "--k", "0")
-    assert rc == EXIT_OK and out.strip() == "1,1,2,5,14"
-    monkeypatch.setenv("LUKAS_ORDER", "not-a-number")
-    with pytest.raises(SystemExit):
-        run_cli(capsys, "series", "--k", "0")
+@pytest.mark.parametrize("value", ["5", "x"])
+def test_the_environment_cannot_change_the_order(capsys, monkeypatch, value):
+    # --order is the only way to set the truncation order
+    monkeypatch.setenv("LUKAS_ORDER", value)
+    rc, out, err = run_cli(capsys, "series", "--k", "0")
+    assert (rc, err) == (EXIT_OK, "")
+    assert out.strip().split(",") == [str(catalan(i)) for i in range(64)]
+    rc, out, _ = run_cli(capsys, "series", "--k", "0", "--format", "json")
+    assert rc == EXIT_OK and json.loads(out)["meta"]["order"] == 64
 
 
 def test_check_bundled_fixture(capsys):
@@ -319,7 +321,6 @@ def test_help_documents_exit_codes(capsys):
     for code in ("3", "4", "5", "6", "7", "8"):
         assert code in out
     assert "internal error" in out
-    assert "LUKAS_ORDER" in out
 
 
 def test_count_deep_bound_gf_matches_dp(capsys):
@@ -354,16 +355,6 @@ def test_height_rejects_empty_n_list(capsys, n_list, fmt):
                            "--n-list", n_list, "--format", fmt)
     assert rc == EXIT_DOMAIN
     assert out == "" and "--n-list" in err
-
-
-@pytest.mark.parametrize("value", ["x", "0", "9" * 5000], ids=["x", "0", "5000-digits"])
-def test_invalid_order_env_is_a_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("LUKAS_ORDER", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["series", "--k", "1"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "LUKAS_ORDER" in captured.err
 
 
 @pytest.mark.parametrize("engine", ["all", "oracle", "dp", "closed", "gf"])

@@ -19,21 +19,19 @@ BFILE = str(SRC / "lukaspaths" / "data" / "b000245.txt")
 BROKEN_PIPE = "error: internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
-def _env(unbuffered: bool = False, **extra: str) -> dict:
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONUNBUFFERED", "PYTHONPATH", "LUKAS_ORDER")}
+def _env(unbuffered: bool = False) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONPATH")}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    env.update(extra)
     return env
 
 
 def _spawn(argv: list[str], stdout=subprocess.PIPE, closed: Optional[int] = None,
-           **env) -> subprocess.CompletedProcess:
+           unbuffered: bool = False) -> subprocess.CompletedProcess:
     """Run `python -m lukaspaths argv`; `closed` names a standard descriptor
     the child starts without, as the shell's `>&-` or `2>&-` leaves it."""
-    return subprocess.run([sys.executable, "-m", "lukaspaths", *argv], env=_env(**env),
+    return subprocess.run([sys.executable, "-m", "lukaspaths", *argv], env=_env(unbuffered),
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
                           preexec_fn=None if closed is None else lambda: os.close(closed))
 
@@ -45,10 +43,7 @@ def _broken_pipe() -> int:
     return write_end
 
 
-def _in_process(capsys, monkeypatch, argv: list[str], **env) -> tuple:
-    monkeypatch.delenv("LUKAS_ORDER", raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def _in_process(capsys, argv: list[str]) -> tuple:
     try:
         code = cli.main(argv)
     except SystemExit as exc:
@@ -61,33 +56,30 @@ BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered"
 
 
 @BUFFERING
-def test_long_output_arrives_whole(capsys, monkeypatch, unbuffered):
+def test_long_output_arrives_whole(capsys, unbuffered):
     argv = ["series", "--k", "2", "--order", "400"]
     proc = _spawn(argv, unbuffered=unbuffered)
     assert len(proc.stdout) > 8192  # more than one buffer's worth
-    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, monkeypatch, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
 
 
-#: (exit code, argv, environment) of each documented outcome.
-EXIT_CASES = pytest.mark.parametrize("code, argv, env", [
-    (0, ["count", "--n", "5", "--k", "0"], {}),
-    (2, ["count", "--n", "5", "--k", "0", "--no-such-flag"], {}),
-    (2, ["series", "--k", "1"], {"LUKAS_ORDER": "abc"}),
-    (3, ["count", "--n", "5", "--total"], {}),
-    (4, ["count", "--n", "12", "--k", "0", "--engine", "oracle"], {}),
-    (5, ["check", "--bfile", BFILE, "--k", "2", "--order", "21"], {}),
-    (6, ["check", "--bfile", BFILE + ".missing", "--k", "1", "--order", "21"], {}),
-    (7, ["count", "--n", "5", "--total", "--kind", "up", "--engine", "dp"], {}),
-], ids=["ok", "bad-flag", "bad-LUKAS_ORDER", "infinite", "oracle-cap", "disagree", "bfile",
-        "domain"])
+#: (exit code, argv) of each documented outcome.
+EXIT_CASES = pytest.mark.parametrize("code, argv", [
+    (0, ["count", "--n", "5", "--k", "0"]),
+    (2, ["count", "--n", "5", "--k", "0", "--no-such-flag"]),
+    (3, ["count", "--n", "5", "--total"]),
+    (4, ["count", "--n", "12", "--k", "0", "--engine", "oracle"]),
+    (5, ["check", "--bfile", BFILE, "--k", "2", "--order", "21"]),
+    (6, ["check", "--bfile", BFILE + ".missing", "--k", "1", "--order", "21"]),
+    (7, ["count", "--n", "5", "--total", "--kind", "up", "--engine", "dp"]),
+], ids=["ok", "bad-flag", "infinite", "oracle-cap", "disagree", "bfile", "domain"])
 
 
 @EXIT_CASES
-def test_exit_codes_and_messages_match_main(capsys, monkeypatch, code, argv, env):
-    proc = _spawn(argv, **env)
+def test_exit_codes_and_messages_match_main(capsys, code, argv):
+    proc = _spawn(argv)
     assert proc.returncode == code
-    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(
-        capsys, monkeypatch, argv, **env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
     if code not in (0, 2, 5):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -129,10 +121,10 @@ def test_stdout_closed_at_start_up_exits_internal(unbuffered):
 
 @BUFFERING
 @EXIT_CASES
-def test_closed_stderr_keeps_the_exit_code(capsys, monkeypatch, unbuffered, code, argv, env):
+def test_closed_stderr_keeps_the_exit_code(capsys, unbuffered, code, argv):
     # the error line is lost, the exit code and the answer are not
-    proc = _spawn(argv, closed=2, unbuffered=unbuffered, **env)
-    want, out, _ = _in_process(capsys, monkeypatch, argv, **env)
+    proc = _spawn(argv, closed=2, unbuffered=unbuffered)
+    want, out, _ = _in_process(capsys, argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (want, out, "")
     assert proc.returncode == code
 

@@ -14,9 +14,8 @@ _spec.loader.exec_module(parity)
 
 def test_the_grid_covers_every_subcommand_engine_and_format(tmp_path):
     parity.write_bad_bfiles(tmp_path)
-    cases = parity.grid(tmp_path)
-    argvs = [argv for argv, _ in cases]
-    assert len({tuple(argv) + tuple(env.items()) for argv, env in cases}) == len(cases)
+    argvs = parity.grid(tmp_path)
+    assert len({tuple(argv) for argv in argvs}) == len(argvs)
     assert {argv[0] for argv in argvs if argv} == {
         "count", "series", "check", "height", "selftest", "--help", "bogus",
     }
@@ -32,7 +31,6 @@ def test_the_grid_covers_every_subcommand_engine_and_format(tmp_path):
     assert ["--help"] in argvs
     for command in commands:
         assert [command, "--help"] in argvs, command
-    assert any(env for _, env in cases)  # LUKAS_ORDER cases
     assert sum(argv[:2] == ["check", "--bfile"] and str(tmp_path) in argv[2] for argv in argvs) == 6
 
 
@@ -42,7 +40,7 @@ def fake_runner(results):
 
     def run(tree, cases):
         calls.append((tree.name, len(cases)))
-        return [results[tree.name](argv) for argv, _ in cases]
+        return [results[tree.name](argv) for argv in cases]
 
     return run, calls
 
@@ -90,20 +88,17 @@ def test_each_differing_stream_is_one_line(tmp_path, capsys):
     assert lines[-1].endswith(f" {3 + len(series)} differing streams")
 
 
-def test_environment_is_named_in_the_line():
-    cases = [(["series", "--k", "1"], {"LUKAS_ORDER": "x"})]
-    lines = parity.differences(cases, [(2, "", "a")], [(2, "", "b")])
-    assert lines == ["stderr: LUKAS_ORDER='x' lukas series --k 1: parent 'a' change 'b'"]
-
-
 def test_the_child_script_runs_this_checkout():
     cases = [
-        (["count", "--n", "3", "--k", "0"], {}),
-        (["series", "--k", "1"], {"LUKAS_ORDER": "x"}),
-        (["count", "--n", "3", "--total"], {}),
+        ["count", "--n", "3", "--k", "0"],
+        ["series", "--k", "1", "--order", "0"],
+        ["count", "--n", "3", "--total"],
     ]
-    assert parity.run_tree(ROOT, cases) == [
+    results = parity.run_tree(ROOT, cases)
+    code, out, err = results[1]
+    assert (code, out) == (2, "")
+    assert err.endswith("lukas series: error: argument --order: must be positive, got 0\n")
+    assert results[::2] == [
         (0, "5\n", ""),
-        (2, "", "error: LUKAS_ORDER must be a positive integer, got 'x'\n"),
         (3, "", "error: infinite family: unbounded l2r query with no end height\n"),
     ]

@@ -43,6 +43,7 @@ def _modules_after(argv: list[str]) -> set[str]:
 @pytest.mark.parametrize("argv", [
     ["count", "--n", "1", "--k", "0"],
     ["series", "--k", "2", "--order", "8"],
+    ["series", "--k", "2"],
 ])
 def test_count_and_series_skip_the_heavy_modules(argv):
     loaded = _modules_after(argv)

@@ -5,9 +5,10 @@
 
 Each checkout runs the whole grid in one subprocess, in the checkout's root,
 with the checkout's `src` first on the import path and
-`PYTHONDONTWRITEBYTECODE=1`; `LUKAS_ORDER` is unset unless a case sets it.
-Every case calls `lukaspaths.cli.main` with its argv and records the exit
-code (a `SystemExit` included), standard output and standard error.
+`PYTHONDONTWRITEBYTECODE=1`.  A case is an argv alone, with no environment
+of its own.  Every case calls `lukaspaths.cli.main` with its argv and
+records the exit code (a `SystemExit` included), standard output and
+standard error.
 
 The grid covers `count` over every engine, format and query shape, with
 refusals and oracle caps; `series` in every format, with alternate and
@@ -35,8 +36,8 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-#: One invocation: the argv after `lukas`, and the environment it adds.
-Case = tuple[list[str], dict[str, str]]
+#: One invocation: the argv after `lukas`.
+Case = list[str]
 #: What one invocation gave: exit code, standard output, standard error.
 Result = tuple[int, str, str]
 STREAMS = ("exit", "stdout", "stderr")
@@ -44,25 +45,18 @@ STREAMS = ("exit", "stdout", "stderr")
 #: Runs in the checkout's own interpreter process: reads the cases as JSON
 #: on stdin and writes the module's path and the results as JSON on stdout.
 CHILD = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 import lukaspaths
 from lukaspaths.cli import main
 
 results = []
-for argv, env in json.load(sys.stdin):
-    saved = {name: os.environ.get(name) for name in env}
-    os.environ.update(env)
+for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    for name, value in saved.items():
-        if value is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = value
     results.append((code, out.getvalue(), err.getvalue()))
 json.dump({"module": lukaspaths.__file__, "results": results}, sys.stdout)
 """
@@ -88,8 +82,8 @@ def grid(bfiles: Path) -> list[Case]:
     same files."""
     cases: list[Case] = []
 
-    def add(*argv, **env):
-        cases.append(([str(a) for a in argv], env))
+    def add(*argv):
+        cases.append([str(a) for a in argv])
 
     shapes = list(product(("total", "0", "2", "5"), _KINDS, _ORIENTATIONS,
                           (None, 1, 3), (False, True)))
@@ -125,7 +119,6 @@ def grid(bfiles: Path) -> list[Case]:
             "--bound", bound, "--order", 300)
     for bound, orientation in product((40, 41), _ORIENTATIONS):
         add("series", "--total", "--bound", bound, "--orientation", orientation, "--order", 300)
-    add("series", "--k", 1, LUKAS_ORDER="7")
 
     data = Path("src/lukaspaths/data")
     fixtures = [
@@ -172,8 +165,6 @@ def grid(bfiles: Path) -> list[Case]:
                  ["series", "--order", 0], ["series", "--order", 5],
                  ["height", "--family", "nope", "--n-list", 3], ["check", "--k", 0]):
         add(*argv)
-    for order in ("x", "0", "-3", ""):
-        add("series", "--k", 1, LUKAS_ORDER=order)
     return cases
 
 
@@ -194,8 +185,7 @@ def write_bad_bfiles(directory: Path) -> None:
 
 def run_tree(tree: Path, cases: list[Case]) -> list[Result]:
     """Run every case in one subprocess of the checkout at `tree`."""
-    env = {name: value for name, value in os.environ.items() if name != "LUKAS_ORDER"}
-    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD], cwd=tree, env=env,
                           input=json.dumps(cases), capture_output=True, text=True)
     if proc.returncode != 0:
@@ -209,9 +199,8 @@ def run_tree(tree: Path, cases: list[Case]) -> list[Result]:
 def _diffs(cases: list[Case], parent: list[Result],
            change: list[Result]) -> Iterator[tuple[str, str, object, object]]:
     """(stream, command, parent value, change value) of each differing stream."""
-    for (argv, env), old, new in zip(cases, parent, change):
-        command = " ".join(f"{name}={value!r}" for name, value in env.items())
-        command = f"{command} lukas {' '.join(argv)}".strip()
+    for argv, old, new in zip(cases, parent, change):
+        command = " ".join(["lukas", *argv])
         for stream, a, b in zip(STREAMS, old, new):
             if a != b:
                 yield stream, command, a, b
