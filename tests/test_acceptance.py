@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 (run with `pytest tests/test_acceptance.py -v -s` to see them live).
 
-Every expected value below is either a table frozen from the printed rows or
-recomputed through an independent oracle inside the test; tolerances are
-stated inline and are exact (== on integers) unless noted.
+Every expected value is either a table frozen from the printed rows (in
+`reference.py`) or recomputed through an independent oracle inside the test;
+tolerances are stated inline and are exact (== on integers) unless noted.
 """
 import math
 import random
@@ -23,62 +23,10 @@ from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_
 from lukaspaths.engines import cross_engine_grid, run_fixture_checks
 from lukaspaths.series import IntPoly
 
-from reference import build_system_matrix, catalan, det_poly
-
-KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
-
-PREFIX_ROWS = {
-    0: [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],
-    1: [0, 1, 3, 9, 28, 90, 297, 1001, 3432, 11934],
-    2: [0, 1, 4, 14, 48, 165, 572, 2002, 7072, 25194],
-    3: [0, 1, 5, 20, 75, 275, 1001, 3640, 13260, 48450],
-}
-SUFFIX_ROWS = {
-    0: [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],
-    1: [0, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],
-    2: [0, 0, 1, 3, 9, 28, 90, 297, 1001, 3432],
-    3: [0, 0, 0, 1, 4, 14, 48, 165, 572, 2002],
-}
-N_TABLE = {
-    (0, 1): [-1, 1], (0, 2): [], (0, 3): [0, -1],
-    (1, 1): [1, -2], (1, 2): [0, 0, 1], (1, 3): [0, 1, -1],
-    (1, 4): [0, 1, -1], (1, 5): [], (1, 6): [0, 0, 1],
-    (2, 1): [-1, 3, -1], (2, 2): [0, 0, -1], (2, 3): [0, -1, 2],
-    (2, 4): [0, -1, 2], (2, 5): [0, 0, -1], (2, 6): [0, 0, -1],
-    (2, 7): [0, -1, 1], (2, 8): [], (2, 9): [0, 0, -1],
-    (3, 1): [1, -4, 3], (3, 2): [0, 0, 1, -1], (3, 3): [0, 1, -3, 1],
-    (3, 4): [0, 1, -3, 1], (3, 5): [0, 0, 1], (3, 6): [0, 0, 1, -1],
-    (3, 7): [0, 1, -2], (3, 8): [0, 0, 1], (3, 9): [0, 0, 1],
-    (3, 10): [0, 1, -1], (3, 11): [], (3, 12): [0, 0, 1],
-    (4, 1): [-1, 5, -6, 1], (4, 2): [0, 0, -1, 2], (4, 3): [0, -1, 4, -3],
-    (4, 4): [0, -1, 4, -3], (4, 5): [0, 0, -1, 1], (4, 6): [0, 0, -1, 2],
-    (4, 7): [0, -1, 3, -1], (4, 8): [0, 0, -1], (4, 9): [0, 0, -1, 1],
-    (4, 10): [0, -1, 2], (4, 11): [0, 0, -1], (4, 12): [0, 0, -1],
-}
-F2_ROWS = {
-    2: [0, 1, 2, 5, 13, 34, 89, 233, 610, 1597],
-    3: [0, 1, 2, 5, 14, 41, 122, 365, 1094, 3281],
-    4: [0, 1, 2, 5, 14, 42, 131, 417, 1341, 4334],
-}
-TOTAL_L2R_ROWS = {
-    0: [1] * 10,
-    1: [2**n for n in range(10)],
-    2: [1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765],
-    3: [1, 4, 13, 40, 121, 364, 1093, 3280, 9841, 29524],
-    4: [1, 5, 19, 66, 221, 728, 2380, 7753, 25213, 81927],
-}
-TOTAL_R2L_ROWS = {
-    0: [1] * 10,
-    1: [2**n for n in range(10)],
-    2: [1, 2, 5, 13, 34, 89, 233, 610, 1597, 4181],
-    3: [1, 2, 5, 14, 41, 122, 365, 1094, 3281, 9842],
-}
-ALT_ROWS = {
-    0: [1, 1, 1, 3, 5, 9, 19, 39, 81, 173],
-    1: [0, 1, 3, 5, 11, 25, 53, 115, 255, 565],
-    2: [0, 1, 3, 7, 19, 45, 105, 247, 575, 1333],
-    3: [0, 1, 3, 9, 27, 69, 177, 443, 1087, 2645],
-}
+from reference import (
+    ALT_ROWS, F2_ROWS, N_TABLE, PREFIX_ROWS, SUFFIX_ROWS, TOTAL_L2R_ROWS, TOTAL_R2L_ROWS,
+    build_system_matrix, catalan, det_poly,
+)
 
 
 @contextmanager

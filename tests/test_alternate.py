@@ -13,22 +13,12 @@ from lukaspaths.alternate import (
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.series import Series
 
-from reference import s2_series
-
-KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
+from reference import ALT_ROWS, KINDS, s2_series
 
 
 def _alt_dp(n: int, k: int, kind: EndKind = EndKind.ANY) -> int:
     """Left-to-right alternate-prefix count by the dynamic program."""
     return dp_count(PathQuery(n, k, kind, Orientation.L2R, alternate=True))
-
-
-ALT_ROWS = {
-    0: [1, 1, 1, 3, 5, 9, 19, 39, 81, 173],
-    1: [0, 1, 3, 5, 11, 25, 53, 115, 255, 565],
-    2: [0, 1, 3, 7, 19, 45, 105, 247, 575, 1333],
-    3: [0, 1, 3, 9, 27, 69, 177, 443, 1087, 2645],
-}
 
 
 def _kernel_residual(s: Series) -> Series:

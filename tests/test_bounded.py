@@ -13,14 +13,15 @@ from lukaspaths.core import EndKind, Orientation, PathQuery, _bound_sweep, dp_co
 from lukaspaths.counts import prefix_series, suffix_series
 from lukaspaths.series import IntPoly
 
-from reference import _bareiss, build_system_matrix, catalan, det_poly
+from reference import (
+    F2_ROWS, KINDS, N_TABLE, TOTAL_L2R_ROWS, TOTAL_R2L_ROWS,
+    _bareiss, build_system_matrix, catalan, det_poly,
+)
 
 Z = IntPoly([0, 1])
 NEG1 = IntPoly([-1])
 ZM1 = IntPoly([-1, 1])
 ZERO = IntPoly()
-
-KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
 
 
 def _rows(*rows):
@@ -65,44 +66,6 @@ R2L_T2 = _rows(
     [ZERO, ZERO, ZERO, ZERO, ZERO, ZERO, ZERO, NEG1, ZERO],
     [ZERO, ZERO, ZERO, ZERO, ZERO, ZERO, Z, Z, ZM1],
 )
-
-# exact N_k^t table for t <= 4, k <= 12 (coefficients lowest degree first)
-N_TABLE = {
-    (0, 1): [-1, 1], (0, 2): [], (0, 3): [0, -1],
-    (1, 1): [1, -2], (1, 2): [0, 0, 1], (1, 3): [0, 1, -1],
-    (1, 4): [0, 1, -1], (1, 5): [], (1, 6): [0, 0, 1],
-    (2, 1): [-1, 3, -1], (2, 2): [0, 0, -1], (2, 3): [0, -1, 2],
-    (2, 4): [0, -1, 2], (2, 5): [0, 0, -1], (2, 6): [0, 0, -1],
-    (2, 7): [0, -1, 1], (2, 8): [], (2, 9): [0, 0, -1],
-    (3, 1): [1, -4, 3], (3, 2): [0, 0, 1, -1], (3, 3): [0, 1, -3, 1],
-    (3, 4): [0, 1, -3, 1], (3, 5): [0, 0, 1], (3, 6): [0, 0, 1, -1],
-    (3, 7): [0, 1, -2], (3, 8): [0, 0, 1], (3, 9): [0, 0, 1],
-    (3, 10): [0, 1, -1], (3, 11): [], (3, 12): [0, 0, 1],
-    (4, 1): [-1, 5, -6, 1], (4, 2): [0, 0, -1, 2], (4, 3): [0, -1, 4, -3],
-    (4, 4): [0, -1, 4, -3], (4, 5): [0, 0, -1, 1], (4, 6): [0, 0, -1, 2],
-    (4, 7): [0, -1, 3, -1], (4, 8): [0, 0, -1], (4, 9): [0, 0, -1, 1],
-    (4, 10): [0, -1, 2], (4, 11): [0, 0, -1], (4, 12): [0, 0, -1],
-}
-
-F2_ROWS = {
-    2: [0, 1, 2, 5, 13, 34, 89, 233, 610, 1597],
-    3: [0, 1, 2, 5, 14, 41, 122, 365, 1094, 3281],
-    4: [0, 1, 2, 5, 14, 42, 131, 417, 1341, 4334],
-}
-TOTAL_L2R_ROWS = {
-    0: [1] * 10,
-    1: [2**n for n in range(10)],
-    2: [1, 3, 8, 21, 55, 144, 377, 987, 2584, 6765],
-    3: [1, 4, 13, 40, 121, 364, 1093, 3280, 9841, 29524],
-    4: [1, 5, 19, 66, 221, 728, 2380, 7753, 25213, 81927],
-}
-TOTAL_R2L_ROWS = {
-    0: [1] * 10,
-    1: [2**n for n in range(10)],
-    2: [1, 2, 5, 13, 34, 89, 233, 610, 1597, 4181],
-    3: [1, 2, 5, 14, 41, 122, 365, 1094, 3281, 9842],
-}
-
 
 def test_matrix_displays_t2():
     assert build_system_matrix(2, Orientation.L2R) == L2R_T2

@@ -20,7 +20,7 @@ from lukaspaths.core import (
 )
 from lukaspaths.engines import closed_count
 
-from reference import catalan
+from reference import KINDS, catalan
 
 def _kind(rise):
     """A step's direction class, by the sign of its rise."""
@@ -128,9 +128,6 @@ def test_empty_path_conventions():
         assert dp_count(PathQuery(0, 0, kind)) == 0
 
 
-KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
-
-
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
 @pytest.mark.parametrize("alternate", [False, True])
 def test_oracle_dp_equivalence_small_grid(orientation, alternate):
@@ -165,6 +162,16 @@ def _definitional_census(n, orientation, alternate):
     return census
 
 
+def _answers(census, q):
+    """The count of query q tallied from a census keyed by (end height,
+    last step kind, max height)."""
+    return sum(
+        c for (h, last, top), c in census.items()
+        if (q.k is None or h == q.k) and q.kind in (EndKind.ANY, last)
+        and (q.bound is None or top <= q.bound)
+    )
+
+
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
 @pytest.mark.parametrize("alternate", [False, True])
 def test_oracle_matches_definitional_model(orientation, alternate):
@@ -179,12 +186,7 @@ def test_oracle_matches_definitional_model(orientation, alternate):
                         q = PathQuery(n, k, kind, orientation, bound, alternate)
                     except InfiniteFamilyError:
                         continue
-                    want = sum(
-                        c for (h, last, top), c in census.items()
-                        if (k is None or h == k) and kind in (EndKind.ANY, last)
-                        and (bound is None or top <= bound)
-                    )
-                    assert enumerate_count(q) == want, q
+                    assert enumerate_count(q) == _answers(census, q), q
 
 
 def _walked_census(n, orientation, alternate, k=None, bound=None):
@@ -243,11 +245,7 @@ def test_oracle_tables_match_the_plain_walk(orientation, alternate):
                         q = PathQuery(n, k, kind, orientation, bound, alternate)
                     except InfiniteFamilyError:
                         continue
-                    want = sum(
-                        c for (h, last, top), c in census.items()
-                        if (k is None or h == k) and kind in (EndKind.ANY, last)
-                        and (bound is None or top <= bound)
-                    )
+                    want = _answers(census, q)
                     if n == 0:
                         want = 1 if kind is EndKind.ANY and k in (0, None) else 0
                     assert enumerate_count(q) == want, q

@@ -8,23 +8,7 @@ from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_
 from lukaspaths.engines import series_for_query
 from lukaspaths.series import Series, catalan_gf
 
-from reference import catalan
-
-KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
-
-# printed coefficient rows, z^0 .. z^9
-PREFIX_ROWS = {
-    0: [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],
-    1: [0, 1, 3, 9, 28, 90, 297, 1001, 3432, 11934],
-    2: [0, 1, 4, 14, 48, 165, 572, 2002, 7072, 25194],
-    3: [0, 1, 5, 20, 75, 275, 1001, 3640, 13260, 48450],
-}
-SUFFIX_ROWS = {
-    0: [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],
-    1: [0, 1, 2, 5, 14, 42, 132, 429, 1430, 4862],
-    2: [0, 0, 1, 3, 9, 28, 90, 297, 1001, 3432],
-    3: [0, 0, 0, 1, 4, 14, 48, 165, 572, 2002],
-}
+from reference import KINDS, PREFIX_ROWS, SUFFIX_ROWS, catalan
 
 
 @pytest.mark.parametrize("k,row", PREFIX_ROWS.items())

@@ -11,6 +11,8 @@ import pytest
 from lukaspaths import core, engines
 from lukaspaths.core import EndKind, Orientation, PathQuery
 
+from reference import KINDS
+
 #: The dynamic program's and the enumeration oracle's functions in `core`.
 DP_AND_ORACLE = ("dp_count", "_bound_sweep", "_walk_step", "enumerate_count",
                  "enumerate_profile")
@@ -53,7 +55,6 @@ CLOSED_FORMS = (("counts", "comb"), ("counts", "prefix_count"),
                 ("counts", "suffix_count"), ("counts", "_ballot"),
                 ("engines", "closed_count"))
 GF_ORDER = 30
-KINDS = tuple(EndKind)
 
 
 def _families():

@@ -75,3 +75,22 @@ def _uncalled() -> list[str]:
 def test_every_library_definition_has_a_caller():
     uncalled = _uncalled()
     assert uncalled == [], f"named nowhere outside their own body: {uncalled}"
+
+
+def _bound(path: Path) -> set[str]:
+    """The names a module binds at top level by assignment, def or class."""
+    bound = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return bound
+
+
+def test_tests_keep_reference_names_single():
+    """A table or helper the tests share is bound once, in `reference.py`."""
+    shared = _bound(ROOT / "tests" / "reference.py")
+    copies = [f"{path.name}: {name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+              for name in sorted(_bound(path) & shared)]
+    assert copies == [], f"bound again outside reference.py: {copies}"

@@ -13,6 +13,8 @@ from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_
 from lukaspaths.engines import series_for_query
 from lukaspaths.series import IntPoly, RationalGF, Series
 
+from reference import KINDS
+
 # -- plain-Fraction reference: lists of Fractions, schoolbook loops ----------
 
 
@@ -156,9 +158,6 @@ def test_inexact_division_raises():
 
 
 # -- engine agreement past the n <= 9 grid ----------------------------------
-
-KINDS = list(EndKind)
-
 
 @pytest.mark.parametrize("k", range(7))
 def test_unbounded_series_match_closed_forms_to_order_256(k):

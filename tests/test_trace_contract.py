@@ -11,17 +11,23 @@ ROOT = Path(__file__).resolve().parents[1]
 MARKER = "perfbench-trace "
 
 
-def test_tracer_runs_a_count_and_reports():
+def _trace(*argv):
+    """Run the tracer on one `lukas` argv; return its stdout and the record
+    of its single marker line."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "count", "--n", "3", "--k", "1"],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "9"
     lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
     assert len(lines) == 1, proc.stderr
-    record = json.loads(lines[0][len(MARKER):])
+    return proc.stdout, json.loads(lines[0][len(MARKER):])
+
+
+def test_tracer_runs_a_count_and_reports():
+    stdout, record = _trace("count", "--n", "3", "--k", "1")
+    assert stdout.strip() == "9"
     assert set(record) == {"import_s", "stats", "counts"}
     assert record["stats"]["series.Series.mul"][0] > 0
 
@@ -29,16 +35,8 @@ def test_tracer_runs_a_count_and_reports():
 def test_selftest_runs_the_traced_oracle_and_dp():
     """The per-layer oracle and DP metrics read the calls of these names; an
     oracle routed around them would zero those metrics without an error."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "selftest", "--quick"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "selftest: all checks passed"
-    lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
-    assert len(lines) == 1, proc.stderr
-    record = json.loads(lines[0][len(MARKER):])
+    stdout, record = _trace("selftest", "--quick")
+    assert stdout.splitlines()[-1] == "selftest: all checks passed"
     for name in ("core.enumerate_profile", "core.enumerate_count", "core.dp_count",
                  "engines.cross_engine_grid"):
         assert record["stats"][name][0] > 0, name
@@ -47,16 +45,7 @@ def test_selftest_runs_the_traced_oracle_and_dp():
 
 def _trace_height(*argv):
     """The tracer's record of one `height --route gf` run."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = ["height", *argv, "--n-list", "12", "--route", "gf"]
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), *argv],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = [line for line in proc.stderr.splitlines() if line.startswith(MARKER)]
-    assert len(lines) == 1, proc.stderr
-    return json.loads(lines[0][len(MARKER):])
+    return _trace("height", *argv, "--n-list", "12", "--route", "gf")[1]
 
 
 def test_height_gf_route_runs_the_traced_polynomial_kernels():
