@@ -139,9 +139,10 @@ def _census(
     alternate: bool,
     k: Optional[int] = None,
     bound: Optional[int] = None,
-) -> dict[tuple[int, EndKind, int], int]:
+) -> dict[tuple[int, Optional[EndKind], int], int]:
     """The oracle's one walker: generate every path of length n step by step
-    and count the paths by (end height, last step kind, max height).
+    and count the paths by (end height, last step kind, max height); the
+    empty path has no last step, so its key is (0, None, 0).
 
     After a step from height h, with ``rem`` steps still to take, the new
     height lies in [max(h - 1, 0), min(bound, hi + rem)] left to right and in
@@ -185,18 +186,16 @@ def _census(
 
     def table(h: int, top: int, last: Optional[int], left: int) -> list[tuple[int, int, int]]:
         """The bucket key of every legal way to take the last ``left`` steps
-        from this state; built once per state, and for ``left`` below
-        `_TABLE_STEPS` from the tables of the states one step on."""
+        from this state: with none left, the state's own key; else built
+        once per state from the tables of the states one step on."""
+        if not left:
+            return [(h, last, top)]
         state = (h, top, last, left)
         keys = tables.get(state)
         if keys is None:
             keys = tables[state] = []
             for nh, kind in steps(h, last, left - 1):
-                ntop = nh if nh > top else top
-                if left > 1:
-                    keys += table(nh, ntop, kind, left - 1)
-                else:
-                    keys.append((nh, kind, ntop))
+                keys += table(nh, nh if nh > top else top, kind, left - 1)
         return keys
 
     def walk(h: int, top: int, last: Optional[int], left: int) -> None:
@@ -206,18 +205,16 @@ def _census(
         else:
             buckets.update(table(h, top, last, left))
 
-    if n:
-        walk(0, 0, None, n)
-    return {(h, STEP_KINDS[last], top): c for (h, last, top), c in buckets.items()}
+    walk(0, 0, None, n)
+    return {(h, last if last is None else STEP_KINDS[last], top): c
+            for (h, last, top), c in buckets.items()}
 
 
-def _tally(census: dict[tuple[int, EndKind, int], int], query: PathQuery) -> int:
+def _tally(census: dict[tuple[int, Optional[EndKind], int], int], query: PathQuery) -> int:
     """The paths of a length-n census that answer `query`: end height k (any
     if k is None), the query's last step kind, max height within the bound.
-    The empty path (n = 0) counts for kind Any only."""
+    The empty path, of kind None, counts for kind Any only."""
     k, kind, bound = query.k, query.kind, query.bound
-    if query.n == 0:
-        return 1 if kind is EndKind.ANY and k in (0, None) else 0
     return sum(
         c for (h, last, top), c in census.items()
         if (k is None or h == k) and kind in (EndKind.ANY, last)
@@ -242,12 +239,11 @@ def enumerate_profile(
     n: int,
     orientation: Orientation = Orientation.L2R,
     alternate: bool = False,
-) -> dict[tuple[int, EndKind, int], int]:
+) -> dict[tuple[int, Optional[EndKind], int], int]:
     """Batch oracle: one exhaustive generation pass over all length-n paths
-    with end height at most n, bucketed by (end height, end kind, max height).
-
-    Bounded and per-kind counts for a whole query grid follow by summation,
-    which keeps cross-engine acceptance sweeps affordable.
+    with end height at most n, bucketed by (end height, end kind, max height),
+    the empty path as (0, None, 0).  Bounded and per-kind counts for a whole
+    query grid follow by summation, which keeps cross-engine sweeps affordable.
     """
     if n > DEFAULT_ORACLE_CAP:
         raise OracleCapError(f"oracle cap exceeded: n={n} > {DEFAULT_ORACLE_CAP}")

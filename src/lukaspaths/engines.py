@@ -96,7 +96,7 @@ def count_by_engine(engine: str, query: PathQuery, oracle_cap: int = DEFAULT_ORA
             order=query.n + 1,
         )
         value = series.coeffs[query.n]
-        if query.n == 0 and query.k == 0 and query.kind is not EndKind.ANY:
+        if query.n == 0 and query.kind is not EndKind.ANY:
             # the series families charge the empty path to the k = 0 up state;
             # query-level kind counts charge it to Any only
             value = 0

@@ -177,7 +177,7 @@ def _answers(census, q):
 def test_oracle_matches_definitional_model(orientation, alternate):
     for n in range(0, 5):
         census = _definitional_census(n, orientation, alternate)
-        profile = {key: c for key, c in census.items() if key[1] is not None and key[0] <= n}
+        profile = {key: c for key, c in census.items() if key[0] <= n}
         assert enumerate_profile(n, orientation, alternate) == profile, n
         for k in [None, *range(0, n + 2)]:
             for kind in KINDS[:1] if k is None else KINDS:
@@ -200,11 +200,13 @@ def _walked_census(n, orientation, alternate, k=None, bound=None):
     l2r = orientation is Orientation.L2R
     lo = k or 0
     hi = k if k is not None else bound if bound is not None else n
-    up, flat, down = range(3)  # indices into STEP_KINDS
-    buckets = {}
-    get = buckets.get
+    up, flat, down = STEP_KINDS
+    buckets = Counter()
 
     def walk(i, h, top, last):
+        if i == n:
+            buckets[h, last, top] += 1
+            return
         rem = n - i - 1
         if l2r:
             first, stop = (h - 1 if h else 0), hi + rem
@@ -214,17 +216,11 @@ def _walked_census(n, orientation, alternate, k=None, bound=None):
             stop = bound
         for nh in range(first, stop + 1):
             kind = up if nh > h else flat if nh == h else down
-            if alternate and kind == last:
-                continue
-            if rem:
+            if not (alternate and kind is last):
                 walk(i + 1, nh, nh if nh > top else top, kind)
-            else:
-                key = (nh, kind, nh if nh > top else top)
-                buckets[key] = get(key, 0) + 1
 
-    if n:
-        walk(0, 0, 0, None)
-    return {(h, STEP_KINDS[last], top): c for (h, last, top), c in buckets.items()}
+    walk(0, 0, 0, None)
+    return dict(buckets)
 
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
@@ -245,16 +241,22 @@ def test_oracle_tables_match_the_plain_walk(orientation, alternate):
                         q = PathQuery(n, k, kind, orientation, bound, alternate)
                     except InfiniteFamilyError:
                         continue
-                    want = _answers(census, q)
-                    if n == 0:
-                        want = 1 if kind is EndKind.ANY and k in (0, None) else 0
-                    assert enumerate_count(q) == want, q
+                    assert enumerate_count(q) == _answers(census, q), q
 
 
 #: Lengths for the DP-only invariants: the whole small range, then a few
 #: lengths far past the n <= 9 cross-engine grid.
 INVARIANT_LENGTHS = (*range(8), 13, 24, 40)
 MODELS = list(product((Orientation.L2R, Orientation.R2L), (False, True)))
+
+
+def test_census_sums_to_its_number_of_paths():
+    """A census buckets every path once, the empty path included."""
+    for n, (orientation, alternate) in product(range(8), MODELS):
+        paths = sum(dp_count(PathQuery(n, k, EndKind.ANY, orientation, alternate=alternate))
+                    for k in range(n + 1))
+        census = enumerate_profile(n, orientation, alternate)
+        assert sum(census.values()) == paths, (n, orientation, alternate)
 
 
 def test_kind_additivity():
