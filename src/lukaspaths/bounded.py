@@ -28,13 +28,33 @@ def _step(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return b, -b - a.shift_up(1)
 
 
+#: D_{-3}, D_{-2}, D_{-1}, ...: the D_t built so far in this process, from
+#: the seeds D_{-3} = 0 and D_{-2} = -1.  It keeps at most `_D_KEPT` of them
+#: (up to D_60): all of D_0..D_t take about 0.07 t^3 bits, 19 MB at t = 1000,
+#: so a larger t is walked on from the last pair kept and not stored.
+_D = [IntPoly(), IntPoly([-1])]
+_D_KEPT = 64
+
+
 def _d(t: int) -> IntPoly:
-    """D_t for t >= -3 by the length recurrence from D_{-3} = 0 and
-    D_{-2} = -1."""
-    a, b = IntPoly(), IntPoly([-1])
-    for _ in range(t + 3):
+    """D_t for t >= -3, read from the memo `_D`.  A t past its end is
+    walked on by the length recurrence from the memo's last pair, and a copy
+    of the memo, extended by the D_t it may keep, replaces it.  The shared
+    list is never appended to, so a concurrent caller that read a shorter
+    memo still extends a consistent list, and each kept D_t is built once
+    per process unless two threads extend the memo at the same time."""
+    global _D
+    memo = _D
+    if t + 3 < len(memo):
+        return memo[t + 3]
+    a, b = memo[-2:]
+    grown = [*memo]
+    for _ in range(t + 4 - len(memo)):
         a, b = _step(a, b)
-    return a
+        if len(grown) < _D_KEPT:
+            grown.append(b)
+    _D = grown
+    return b
 
 
 def d_poly(t: int) -> IntPoly:

@@ -6,18 +6,18 @@ with r >= -1: up-steps of any positive rise, flat steps, and unit down-steps.
 The right-to-left (suffix) model mirrors the step set: rises are at most +1
 and falls may have any size.  An "alternate" path never takes two consecutive
 steps of the same direction class (up/flat/down), whatever the rise sizes.
-The oracle generates every path: it walks each one step by step until three
+The oracle generates every path: it walks each one step by step until four
 steps are left, then reads those last steps from a table of every legal way
 to take them, built once per state and counted one key per path, so every
-path is still counted once.  The DP counts both models as one walk with the
-suffix step set: a suffix as it is, a prefix read backwards.  All counts are
-exact Python ints.
+path is still counted once; inside the walk each bucket key is packed into
+one int.  The DP counts both models as one walk with the suffix step set: a
+suffix as it is, a prefix read backwards.  All counts are exact Python ints.
 """
 from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from operator import add
 from typing import Iterator, Optional
 
@@ -123,14 +123,17 @@ class PathQuery:
 
 
 #: The census walks a path one step at a time until this many steps are
-#: left, then reads every legal way to take them from a table.  Measured on
-#: the 40 censuses of the n <= 9 cross-engine grid (Python 3.11, 2 CPUs):
-#: 1.9-2.6 s for the plain walk, 1.2 s with two-step tables, 0.65 s with
-#: three and 0.45 s with four.  Each step more multiplies a table's length by
-#: the heights one step can reach.  With three, a fresh `selftest` peaks at
-#: 16.4-16.7 MB RSS against the plain walk's 16.1-16.3 MB; four steps took it
-#: to 17.4 MB, and five raised the n = 10 census's peak from 12.3 to 17.0 MB.
-_TABLE_STEPS = 3
+#: left, then reads every legal way to take them from a table.  Each step
+#: more multiplies a table's length by the heights one step can reach.
+#: Measured on the 40 censuses of the n <= 9 cross-engine grid (Python
+#: 3.11.7, 2 CPUs), with packed int keys: 0.27 s with three steps, 0.20 s
+#: with four and 0.17 s with five (three steps with tuple keys: 0.31-0.35 s).
+#: A four-step table holds its three-step tables, not a flat copy of their
+#: keys, so the n = 9 left-to-right census peaks at 0.40 MB allocated, as
+#: with three steps, where flat tables (and five steps) peak at 1.0 MB.  A
+#: fresh `selftest` then peaks at 16.6 MB RSS, as with three-step tuple keys;
+#: flat four-step tables took it to 16.8-17.5 MB, and five steps to 16.8 MB.
+_TABLE_STEPS = 4
 
 
 def _census(
@@ -154,21 +157,28 @@ def _census(
 
     A path's first n - `_TABLE_STEPS` steps are walked one at a time.  Its
     state then, (height, max height, last kind), fixes every legal way to end
-    it, so its last steps are read from a table: for each state, the list
-    holding the bucket key (end height, kind, max height) of each of its
-    continuations, built once per census call by the same step rule.  A
-    `Counter` adds 1 per key in that list, so every path is still generated
-    and counted exactly once, and no count is ever multiplied; a path of at
-    most `_TABLE_STEPS` steps is one table entry as a whole.
+    it, so its last steps are read from a table: for each state, the bucket
+    key of each of its continuations, built once per census call by the
+    same step rule.  A `Counter` adds 1 per key in that table, so every path
+    is still generated and counted exactly once, and no count is ever
+    multiplied; a path of at most `_TABLE_STEPS` steps is one table entry as
+    a whole.
+
+    Inside the walk a bucket key is one int, (end height * span + max
+    height) * 4 + kind, with kinds 0-2 the indices of `STEP_KINDS`, 3 for
+    the empty path, and a span above every reachable max height: hi + n - 1
+    at most, as a step never climbs past hi + rem.  The keys are decoded to
+    tuples once, after the walk.
     """
     l2r = orientation is Orientation.L2R
     lo = k or 0
     hi = k if k is not None else bound if bound is not None else n
-    up, flat, down = range(3)  # STEP_KINDS indices: small-int keys hash fast
-    buckets: Counter[tuple[int, int, int]] = Counter()
-    tables: dict[tuple[int, int, Optional[int], int], list[tuple[int, int, int]]] = {}
+    span = hi + n + 1
+    up, flat, down = range(3)  # STEP_KINDS indices; 3 is the empty path's kind
+    buckets: Counter[int] = Counter()
+    tables: dict[tuple[int, int, int, int], tuple] = {}
 
-    def steps(h: int, last: Optional[int], rem: int) -> list[tuple[int, int]]:
+    def steps(h: int, last: int, rem: int) -> list[tuple[int, int]]:
         """(new height, kind) of every legal step from height h that leaves
         ``rem`` steps to take."""
         if l2r:
@@ -184,30 +194,41 @@ def _census(
                 out.append((nh, kind))
         return out
 
-    def table(h: int, top: int, last: Optional[int], left: int) -> list[tuple[int, int, int]]:
-        """The bucket key of every legal way to take the last ``left`` steps
-        from this state: with none left, the state's own key; else built
-        once per state from the tables of the states one step on."""
+    def table(h: int, top: int, last: int, left: int) -> tuple:
+        """The packed bucket key of every legal way to take the last
+        ``left`` steps from this state: with none left, the state's own
+        key; else built once per state from the tables of the states one
+        step on.  Below `_TABLE_STEPS` steps a table holds its keys; at
+        `_TABLE_STEPS` it holds those tables, one per first step, and is
+        read through `chain`, so no key is stored twice."""
         if not left:
-            return [(h, last, top)]
+            return ((h * span + top) * 4 + last,)
         state = (h, top, last, left)
         keys = tables.get(state)
         if keys is None:
-            keys = tables[state] = []
+            keys = []
             for nh, kind in steps(h, last, left - 1):
-                keys += table(nh, nh if nh > top else top, kind, left - 1)
+                part = table(nh, nh if nh > top else top, kind, left - 1)
+                keys += (part,) if left == _TABLE_STEPS else part
+            keys = tables[state] = (*keys,)
         return keys
 
-    def walk(h: int, top: int, last: Optional[int], left: int) -> None:
+    def walk(h: int, top: int, last: int, left: int) -> None:
         if left > _TABLE_STEPS:
             for nh, kind in steps(h, last, left - 1):
                 walk(nh, nh if nh > top else top, kind, left - 1)
         else:
-            buckets.update(table(h, top, last, left))
+            keys = table(h, top, last, left)
+            buckets.update(chain.from_iterable(keys) if left == _TABLE_STEPS else keys)
 
-    walk(0, 0, None, n)
-    return {(h, last if last is None else STEP_KINDS[last], top): c
-            for (h, last, top), c in buckets.items()}
+    walk(0, 0, 3, n)
+    kinds = (*STEP_KINDS, None)
+    census = {}
+    for key, c in buckets.items():
+        key, last = divmod(key, 4)
+        h, top = divmod(key, span)
+        census[h, kinds[last], top] = c
+    return census
 
 
 def _tally(census: dict[tuple[int, Optional[EndKind], int], int], query: PathQuery) -> int:

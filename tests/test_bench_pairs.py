@@ -1,6 +1,6 @@
 """The arithmetic of tools/bench_pairs.py: quartiles, wins and the rules
-for a resolved gain and a bounded regression; and its refusal of pairs
-whose outputs differ."""
+for a resolved gain and a bounded regression; its refusal of pairs whose
+outputs differ; and the verdict lines it prints."""
 import importlib.util
 import json
 from pathlib import Path
@@ -93,3 +93,30 @@ def test_pairs_that_compare_different_outputs_exit_1(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error: ")] == (
         [] if reason is None else [f"error: {reason}; {out} compares different outputs"])
+
+
+def test_verdicts_print_one_line_per_workload_and_metric(tmp_path, monkeypatch, capsys):
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for tree in trees.values():
+        tree.mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+    ]}))
+    metrics = {trees["parent"]: {"wall_s": 5.0, "peak_rss_mb": 20.0},
+               trees["change"]: {"wall_s": 4.0, "peak_rss_mb": 22.0}}
+    monkeypatch.setattr(bench_pairs, "bench_once", lambda tree, workload, seed: {
+        "metrics": metrics[tree], "digest": "abc", "failed": 0, "attempted": 3})
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--parent", str(trees["parent"]), "--change",
+                             str(trees["change"]), "--workload", "height",
+                             "--workload", "small-queries", "--seed", "1", "--out", str(out)])
+    assert code == 0 and out.exists()
+    assert capsys.readouterr().out.splitlines() == [
+        line for w in ("height", "small-queries") for line in (
+            f"{w} wall_s: parent 5 -> change 4 (-20.0%), wins 10/10, losses 0, "
+            "within_bound True, gain_resolved True",
+            f"{w} peak_rss_mb: parent 20 -> change 22 (+10.0%), wins 0/10, losses 10, "
+            "within_bound False, gain_resolved False",
+        )
+    ]

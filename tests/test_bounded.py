@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from lukaspaths import bounded
 from lukaspaths.bounded import (
     bounded_gf,
     d_poly,
@@ -93,6 +94,33 @@ def test_d_poly_recurrence():
     assert d_poly(3) == IntPoly([1, -4, 3])
     for t in range(0, 7):
         assert d_poly(t) == det_poly(build_system_matrix(t)), t
+
+
+def _walked_d(t):
+    """D_t walked up from D_(-3) = 0 and D_(-2) = -1 by D_(t+2) = -D_(t+1) -
+    z D_t, with no memo."""
+    a, b = ZERO, NEG1
+    for _ in range(t + 3):
+        a, b = b, -b - Z * a
+    return a
+
+
+def test_the_d_memo_answers_in_any_call_order(monkeypatch):
+    """`d_poly` and `n_poly` read D_t from a memo that grows on demand:
+    from its two seeds, bounds asked out of order, below and past the last
+    D_t it keeps, must each get their own D_t, and the memo grows a copy,
+    never the list another caller holds."""
+    seeds = [ZERO, NEG1]
+    monkeypatch.setattr(bounded, "_D", seeds)
+    for t in (60, 0, 61, 5, 30, 2, 59, 90, 64):
+        assert d_poly(t) == _walked_d(t), t
+        for orientation in (Orientation.L2R, Orientation.R2L):
+            assert n_poly(t, 1, orientation) == _walked_d(t), t
+            assert n_poly(t, 2, orientation) == -(Z * Z * _walked_d(t - 3)), t
+            assert n_poly(t, 3, orientation) == -(Z * _walked_d(t - 1)), t
+    assert seeds == [ZERO, NEG1]
+    # D_(-3)..D_60 are kept; D_61 and up are walked on from D_59, D_60
+    assert len(bounded._D) == bounded._D_KEPT == 64
 
 
 def test_det_same_for_both_orientations():

@@ -244,6 +244,17 @@ def test_oracle_tables_match_the_plain_walk(orientation, alternate):
                     assert enumerate_count(q) == _answers(census, q), q
 
 
+def test_oracle_keys_hold_past_n():
+    """End heights and bounds above n: left to right a path's max height
+    reaches k + n - 1, past any span sized by n alone, and every census key
+    packs and unpacks its max height exactly."""
+    for n, (orientation, alternate) in product(range(5), MODELS):
+        for k in range(2 * n + 5):
+            for kind, bound in product(KINDS, [None, *range(k, k + n + 2)]):
+                q = PathQuery(n, k, kind, orientation, bound, alternate)
+                assert enumerate_count(q) == dp_count(q), q
+
+
 #: Lengths for the DP-only invariants: the whole small range, then a few
 #: lengths far past the n <= 9 cross-engine grid.
 INVARIANT_LENGTHS = (*range(8), 13, 24, 40)

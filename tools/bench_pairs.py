@@ -16,10 +16,12 @@ The BENCH file holds the environment, both revisions, every pair's metrics,
 digests and failed counts, and per workload and metric: each side's median
 and quartiles, how many pairs the change won and lost (ties count for
 neither), and whether the change's median is better than the parent's by
-more than the parent's quartile spread.  The file is written either way,
-but the tool exits 1 if any workload's answer digests differ, between the
-sides or between runs, or if any run failed jobs: such a file compares
-different outputs.  Standard library only.
+more than the parent's quartile spread.  After writing the file, the tool
+prints one line per workload and metric with those figures (`verdicts`).
+The file is written either way, but the tool exits 1 if any workload's
+answer digests differ, between the sides or between runs, or if any run
+failed jobs: such a file compares different outputs.  Standard library
+only.
 """
 from __future__ import annotations
 
@@ -65,6 +67,22 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "within_bound": -gain <= bound * abs(pmed),
         "gain_resolved": wins * 10 >= 9 * len(parent) and gain > pq3 - pq1,
     }
+
+
+def verdicts(report: dict) -> list[str]:
+    """One line per workload and metric: both medians, the relative change,
+    wins and losses, and whether the metric is within its bound and its gain
+    resolved."""
+    lines = []
+    for workload, result in report["workloads"].items():
+        for name, r in result["metrics"].items():
+            rel = r["relative_change"]
+            lines.append(
+                f"{workload} {name}: parent {r['parent']['median']:.4g} -> change "
+                f"{r['change']['median']:.4g} ({'n/a' if rel is None else format(rel, '+.1%')}), "
+                f"wins {r['wins']}/{r['pairs']}, losses {r['losses']}, "
+                f"within_bound {r['within_bound']}, gain_resolved {r['gain_resolved']}")
+    return lines
 
 
 def refusal(report: dict) -> Optional[str]:
@@ -159,6 +177,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             },
         }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for line in verdicts(report):
+        print(line)
     reason = refusal(report)
     if reason:
         print(f"error: {reason}; {args.out} compares different outputs", file=sys.stderr)
