@@ -131,8 +131,9 @@ class PathQuery:
 #: A four-step table holds its three-step tables, not a flat copy of their
 #: keys, so the n = 9 left-to-right census peaks at 0.40 MB allocated, as
 #: with three steps, where flat tables (and five steps) peak at 1.0 MB.  A
-#: fresh `selftest` then peaks at 16.6 MB RSS, as with three-step tuple keys;
-#: flat four-step tables took it to 16.8-17.5 MB, and five steps to 16.8 MB.
+#: fresh `selftest` then peaks at 16.3-16.6 MB RSS, against 16.6-16.7 MB with
+#: three-step tuple keys; flat four-step tables took it to 16.8-17.5 MB, and
+#: five steps to 16.8 MB.
 _TABLE_STEPS = 4
 
 

@@ -228,7 +228,7 @@ def _walked_census(n, orientation, alternate, k=None, bound=None):
 def test_oracle_tables_match_the_plain_walk(orientation, alternate):
     """The census reads each path's last steps from a table: it must bucket
     exactly the paths the plain walk counts one by one, at lengths below, at
-    and past the table's three steps."""
+    and past the table's four steps."""
     for n in range(0, 9):
         assert enumerate_profile(n, orientation, alternate) == _walked_census(
             n, orientation, alternate), n
@@ -244,17 +244,6 @@ def test_oracle_tables_match_the_plain_walk(orientation, alternate):
                     assert enumerate_count(q) == _answers(census, q), q
 
 
-def test_oracle_keys_hold_past_n():
-    """End heights and bounds above n: left to right a path's max height
-    reaches k + n - 1, past any span sized by n alone, and every census key
-    packs and unpacks its max height exactly."""
-    for n, (orientation, alternate) in product(range(5), MODELS):
-        for k in range(2 * n + 5):
-            for kind, bound in product(KINDS, [None, *range(k, k + n + 2)]):
-                q = PathQuery(n, k, kind, orientation, bound, alternate)
-                assert enumerate_count(q) == dp_count(q), q
-
-
 #: Lengths for the DP-only invariants: the whole small range, then a few
 #: lengths far past the n <= 9 cross-engine grid.
 INVARIANT_LENGTHS = (*range(8), 13, 24, 40)
@@ -268,6 +257,17 @@ def test_census_sums_to_its_number_of_paths():
                     for k in range(n + 1))
         census = enumerate_profile(n, orientation, alternate)
         assert sum(census.values()) == paths, (n, orientation, alternate)
+
+
+def test_oracle_keys_hold_past_n():
+    """End heights and bounds above n: left to right a path's max height
+    reaches k + n - 1, past any span sized by n alone, and every census key
+    packs and unpacks its max height exactly."""
+    for n, (orientation, alternate) in product(range(5), MODELS):
+        for k in range(2 * n + 5):
+            for kind, bound in product(KINDS, [None, *range(k, k + n + 2)]):
+                q = PathQuery(n, k, kind, orientation, bound, alternate)
+                assert enumerate_count(q) == dp_count(q), q
 
 
 def test_kind_additivity():
