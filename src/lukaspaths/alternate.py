@@ -13,11 +13,11 @@ here by exact-rational bisection.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from typing import NamedTuple
 
 from .core import EndKind
-from .series import DEFAULT_ORDER, IntPoly, Series
+from .series import DEFAULT_ORDER, IntPoly, Series, quadratic_powers
 
 # Only the bisection below works in rationals, so `dominant_root` and
 # `alt_asymptotic` import `fractions` themselves and alternate `count` and
@@ -62,7 +62,8 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
     The kernel's root sum s1 + s2 = (1 - 2z^3)/(1 + z^2) and product
     s1 s2 (1 + z^2) = z^2 give r = 1/s1 = (1 - 2z^3 - (1 + z^2) s1) / z^2, a
     short product and a shift, so the only series divisions are by 2 + 2z^2
-    in `s1_series` and by 1 + z^2.  No power of r past the row's end is taken.
+    in `s1_series` and by 1 + z^2.  `quadratic_powers` walks the powers of r,
+    a root of z^2 r^2 - (1 - 2z^3) r + (1 + z^2) = 0, up to the row's end.
     """
     if k < 0:
         raise ValueError("end height must be nonnegative")
@@ -70,11 +71,10 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
         raise ValueError("order must be positive")
     m = order + 2
     r = (_ONE_MINUS_2Z3.to_series(m) - _ONE_PLUS_Z2.to_series(m) * s1_series(m)).shift_down(2)
-    num, power = Series.constant(0, order), r**k
-    for j, a in enumerate((_ROWS_AT_0 if k == 0 else _ROWS)[kind]):
-        if j:
-            power = power * r
-        num = num + a.to_series(order) * power
+    powers = quadratic_powers(r.coeffs, _ONE_MINUS_2Z3.coeffs, _ONE_PLUS_Z2.coeffs, 2)
+    num = Series.constant(0, order)
+    for a, power in zip((_ROWS_AT_0 if k == 0 else _ROWS)[kind], islice(powers, k, None)):
+        num = num + a.to_series(order) * Series(power)
     return num / _ONE_PLUS_Z2.to_series(order)
 
 

@@ -7,17 +7,17 @@ height h whose last step is up (f), down (g) or flat (h), and each row is
 read off the step set of the orientation.  The determinant D_t of the
 coefficient matrix satisfies D_{t+2} = -D_{t+1} - z D_t and equals, up to
 sign, the Fibonacci polynomial; every Cramer numerator N_k^t is a signed
-z-shift of one D_t' by orientation-specific shift rules.  The library solves
-the system by the recurrence alone: `d_poly` and `n_poly` compute D_t and
-N_k^t, and the gf route of the mean height sweeps one family's counts up in
-t.  The matrix itself and its determinant are written out only in the tests,
-which check the recurrence and the shift rules against them.
+z-shift of one D_t', read from `core._column`.  The library solves the
+system by the recurrence alone (`d_poly`, `n_poly`), and the gf route of the
+mean height sweeps one family's counts up in t.  The matrix and its
+determinant are written out only in the tests, which check the recurrence
+and the column table against them.
 """
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .core import EndKind, Orientation, PathQuery
+from .core import EndKind, Orientation, PathQuery, _OFFSETS, _column
 from .series import IntPoly, RationalGF
 
 
@@ -65,37 +65,17 @@ def d_poly(t: int) -> IntPoly:
     return _d(t)
 
 
-# (flip, power, offset) of the columns idx = 1..6:
-# N_idx^t = (-1)^flip z^power D_{t+offset}
-_BASE = {1: (0, 0, 0), 2: (1, 2, -3), 3: (1, 1, -1), 4: (1, 1, -1), 5: (0, 2, -4), 6: (1, 2, -3)}
-
-
 def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntPoly:
-    """Cramer numerator N_idx^t by recurrence.
-
-    Columns 1..6 are the signed z-shifts of D in `_BASE`: N_1^t = D_t,
-    N_2^t = -z^2 D_{t-3}, N_3^t = -z D_{t-1} and, left to right,
-    N_4^t = -z D_{t-1}, N_5^t = z^2 D_{t-4}, N_6^t = -z^2 D_{t-3}.  Higher
-    columns reduce r times by the orientation's shift rule: left-to-right
-    N_{k+3}^{t+1} = -N_k^t, r = (idx - 4) // 3, down to columns 4..6;
-    right-to-left N_k^{t+1} = -z N_{k-3}^t, r = (idx - 1) // 3, down to
-    columns 1..3.  Applied r times, a rule is one sign (-1)^r, the offset -r
-    and, right-to-left, the power z^r.
-    """
+    """Cramer numerator N_idx^t = sign z^power D_(t+offset) by recurrence,
+    with (sign, power, offset) from `core._column`, the column table the
+    unbounded families read too: N_1^t = D_t, N_2^t = -z^2 D_(t-3), ..."""
     if t < 0:
         raise ValueError("bound must be nonnegative")
     if not 1 <= idx <= 3 * (t + 1):
         raise ValueError(f"column index {idx} out of range for bound {t}")
-    if orientation is Orientation.R2L:
-        r = shift = (idx - 1) // 3
-    else:
-        r, shift = max((idx - 4) // 3, 0), 0
-    flip, power, offset = _BASE[idx - 3 * r]
-    col = _d(t - r + offset).shift_up(shift + power)
-    return -col if (r + flip) % 2 else col
-
-
-_OFFSETS = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
+    sign, power, offset = _column(idx, orientation)
+    col = _d(t + offset).shift_up(power)
+    return col if sign > 0 else -col
 
 
 def bounded_gf(

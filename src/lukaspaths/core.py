@@ -1,5 +1,6 @@
-"""The counting query, the brute-force enumeration oracle, and the
-dynamic-programming counter that every other engine is checked against.
+"""The counting query, the enumeration oracle and the dynamic-programming
+counter that every other engine is checked against, and the bounded
+system's Cramer column table (`_column`) that the gf and closed engines read.
 
 Left-to-right paths live in N^2, start at the origin, and use steps (1, r)
 with r >= -1: up-steps of any positive rise, flat steps, and unit down-steps.
@@ -53,7 +54,7 @@ class InfiniteFamilyError(ValueError):
 
 
 class OracleCapError(ValueError):
-    """Raised when the brute-force oracle is asked for a length above its cap."""
+    """The oracle's length, or left-to-right end height or bound, is past its cap."""
 
 
 class EngineDomainError(ValueError):
@@ -249,10 +250,13 @@ def enumerate_count(query: PathQuery, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
     Step sizes are pruned to those that keep the target end height (or the
     bound) reachable, which makes the infinite step alphabet finite for every
-    query.
-    """
+    query.  Left to right one up-step reaches any height up to that target,
+    so `cap` bounds it too, as it bounds n."""
     if query.n > cap:
         raise OracleCapError(f"oracle cap exceeded: n={query.n} > {cap}")
+    name, top = ("k", query.k) if query.k is not None else ("bound", query.bound)
+    if query.orientation is Orientation.L2R and top > cap:
+        raise OracleCapError(f"oracle cap exceeded: {name}={top} > {cap}")
     census = _census(query.n, query.orientation, query.alternate, query.k, query.bound)
     return _tally(census, query)
 
@@ -375,3 +379,25 @@ def _bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator
         for _ in range(n - i):
             walk = _walk_step(walk, False)
         yield _walk_end(walk, end)
+
+
+#: (flip, power, offset) of the bounded system's Cramer columns idx = 1..6:
+#: N_idx^t = (-1)^flip z^power D_(t+offset).
+_BASE = {1: (0, 0, 0), 2: (1, 2, -3), 3: (1, 1, -1), 4: (1, 1, -1), 5: (0, 2, -4), 6: (1, 2, -3)}
+#: The columns 3k + offset of the family ending at height k, by kind.
+_OFFSETS = {EndKind.UP: (1,), EndKind.DOWN: (2,), EndKind.FLAT: (3,), EndKind.ANY: (1, 2, 3)}
+
+
+def _column(idx: int, orientation: Orientation) -> tuple[int, int, int]:
+    """(sign, power, offset) of the Cramer column N_idx^t = sign z^power
+    D_(t+offset), t >= (idx - 1) // 3: a `_BASE` column after r steps of the
+    shift rule, left to right N_(k+3)^(t+1) = -N_k^t down to columns 4..6,
+    right to left N_k^(t+1) = -z N_(k-3)^t down to columns 1..3.  As
+    t -> oo, D_(t+d)/D_t -> (-1/L)^d (L the Catalan series), so the column
+    over D_t tends to sign (-1)^d z^power L^(-d), d the offset."""
+    if orientation is Orientation.R2L:
+        r = shift = (idx - 1) // 3
+    else:
+        r, shift = max((idx - 4) // 3, 0), 0
+    flip, power, offset = _BASE[idx - 3 * r]
+    return -1 if (r + flip) % 2 else 1, shift + power, offset - r

@@ -1,6 +1,9 @@
 """Unbounded prefixes and right-to-left (suffix) paths by end height and kind
-of last step.  Each family is one shifted power z^s L^p of the Catalan
-series L, in one table; the gf engine expands it, and the closed engine
+of last step.  Each family is read from the bounded system's Cramer columns
+(`core._column`) at t -> oo: a column sign z^P D_(t+d) over D_t tends to
+z^P L^(-d), with L the Catalan series, so a family is a sum of shifted
+powers z^s L^p, one per column of its kind.  The gf engine expands them,
+with every power of L from one walk of L = 1 + z L^2, and the closed engine
 reads [z^m] L^p as the ballot number p/(2m + p) C(2m + p, m) (Lagrange
 inversion, Flajolet & Sedgewick, Analytic Combinatorics, App. A.6).
 
@@ -9,38 +12,25 @@ counters charge it to the Any kind only.  For n >= 1 the two agree.
 """
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
+from operator import add
 from typing import Optional
 
-from .core import EndKind, Orientation
-from .series import DEFAULT_ORDER, Series, catalan_gf
-
-#: (power, shift) of each family z^shift L^power, by end height k.  Left to
-#: right the up family at k = 0 is the empty path alone, z^0 L^0.
-_FAMILIES = {
-    (Orientation.L2R, EndKind.UP): lambda k: (k, min(k, 1)),
-    (Orientation.L2R, EndKind.FLAT): lambda k: (k + 2, 2),
-    (Orientation.L2R, EndKind.DOWN): lambda k: (k + 3, 2),
-    (Orientation.L2R, EndKind.ANY): lambda k: (k + 2, 1),
-    (Orientation.R2L, EndKind.UP): lambda k: (k, k),
-    (Orientation.R2L, EndKind.FLAT): lambda k: (k + 1, k + 1),
-    (Orientation.R2L, EndKind.DOWN): lambda k: (k + 3, k + 2),
-    (Orientation.R2L, EndKind.ANY): lambda k: (k + 1, k),
-}
-#: Left to right at k = 0, the exponent e of a lone term z^e outside the
-#: power: the single flat step in the flat family, the empty path in Any.
-_LONE = {EndKind.FLAT: 1, EndKind.ANY: 0}
+from .core import EndKind, Orientation, _OFFSETS, _column
+from .series import DEFAULT_ORDER, Series, catalan_gf, quadratic_powers
 
 
-def _family(orientation: Orientation, k: Optional[int], kind: EndKind) -> tuple:
-    """(power, shift, lone exponent or None); ``k is None`` is the
-    right-to-left total over end heights, L^2."""
+def _family(orientation: Orientation, k: Optional[int], kind: EndKind) -> list[tuple[int, int]]:
+    """The (power, shift) of each term z^shift L^power of the family: its
+    kind's columns at t -> oo.  ``k is None`` is the right-to-left total
+    over end heights, D_(t-2)/D_t -> L^2."""
     if k is None and orientation is Orientation.R2L and kind is EndKind.ANY:
-        return 2, 0, None
+        return [(2, 0)]
     if k is None or k < 0:
         raise ValueError("end height must be nonnegative")
-    p, s = _FAMILIES[orientation, kind](k)
-    return p, s, _LONE.get(kind) if orientation is Orientation.L2R and k == 0 else None
+    columns = (_column(3 * k + off, orientation) for off in _OFFSETS[kind])
+    return [(-offset, power) for _, power, offset in columns]
 
 
 def _ballot(p: int, m: int) -> int:
@@ -51,24 +41,27 @@ def _ballot(p: int, m: int) -> int:
 
 
 def _count(orientation: Orientation, n: int, k: Optional[int], kind: EndKind) -> int:
-    p, s, lone = _family(orientation, k, kind)
+    terms = _family(orientation, k, kind)
     if n < 0:
         raise ValueError("length must be nonnegative")
     if n == 0 and kind is not EndKind.ANY:
         return 0  # the query convention charges the empty path to Any only
-    return _ballot(p, n - s) + (n == lone)
+    return sum(_ballot(p, n - s) for p, s in terms)
 
 
 def _series(orientation: Orientation, k: Optional[int], kind: EndKind, order: int) -> Series:
-    """z^s L^p as (L^2)^(p // 2) L^(p % 2), where L^2 = (L - 1)/z takes no
-    product once L is one order longer (L = 1 + z L^2), plus the lone term."""
-    p, s, lone = _family(orientation, k, kind)
-    out = Series.constant(0, order)
-    if order > s:
-        L = catalan_gf(order - s + 1)
-        power = (L - 1).shift_down(1) ** (p // 2)
-        out = Series((0,) * s + (power * L if p % 2 else power).coeffs)
-    return out if lone is None else out + Series.one(order).shift_up(lone)
+    """The sum of the family's terms z^s L^p, every L^p from one walk of
+    L^p = (L^(p-1) - L^(p-2)) / z at the order the smallest shift needs; a
+    term with s >= order adds nothing."""
+    terms = sorted((p, s) for p, s in _family(orientation, k, kind) if s < order)
+    out, j = [0] * order, -1
+    if terms:
+        walk = quadratic_powers(catalan_gf(order - min(s for _, s in terms)).coeffs, (1,), (1,), 1)
+    for p, s in terms:
+        if p > j:  # walk on to L^p
+            power, j = next(islice(walk, p - j - 1, None)), p
+        out[s:] = map(add, out[s:], power)
+    return Series(out)
 
 
 def prefix_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) -> Series:

@@ -9,8 +9,8 @@ integral raises ValueError rather than leaving the integers.
 from __future__ import annotations
 
 from itertools import starmap, zip_longest
-from operator import add, index, mul
-from typing import Any, Iterable, Sequence
+from operator import add, index, mul, sub
+from typing import Any, Iterable, Iterator, Sequence
 
 #: Default truncation order for generating-function expansions.  Overridable
 #: per call and, on the command line, by `--order` alone.
@@ -313,3 +313,38 @@ def catalan_gf(order: int) -> Series:
         raise ValueError("order must be positive")
     one, z = Series.one(order + 1), Series.z(order + 1)
     return (one - (one - 4 * z).sqrt()).shift_down(1) / 2
+
+
+def quadratic_powers(x: Sequence[int], alpha: Sequence[int], beta: Sequence[int],
+                     v: int) -> Iterator[list[int]]:
+    """x^0, x^1, ... without end, each to x's length m, for a series root x
+    of z^v x^2 - alpha x + beta = 0, with no series product.
+
+    x^j = (alpha x^(j-1) - beta x^(j-2)) / z^v gives x^j's first m - v
+    coefficients, by additions over the nonzero terms of alpha and beta.
+    The last v, which that division leaves unknown, come from x^j = x x^(j-1),
+    one dot product each, so every power keeps x's length and a step costs
+    O(m) operations whatever j is."""
+    m = len(x)
+    top = max(m - v, 0)
+    # A term c z^i of alpha (on x^(j-1)) or of -beta (on x^(j-2)) adds
+    # c src[n + v - i] to out[n] for lo <= n < top, src[start:stop] in all.
+    terms = [(newer, add if c > 0 else sub, abs(c), max(i - v, 0), max(v - i, 0), m - i)
+             for newer, poly in ((True, alpha), (False, [-c for c in beta]))
+             for i, c in enumerate(poly) if c and i < m]
+    older, newer = [1] + [0] * (m - 1), list(x)
+    yield older
+    while True:
+        yield newer
+        acc = None
+        for from_newer, op, c, lo, start, stop in terms:
+            part = (newer if from_newer else older)[start:stop]
+            if c != 1:
+                part = [c * s for s in part]
+            if lo:
+                part = [0] * lo + part
+            acc = part if acc is None and op is add else map(op, acc or [0] * top, part)
+        out = [*acc]
+        for n in range(top, m):
+            out.append(sum(map(mul, x, reversed(newer[: n + 1]))))
+        older, newer = newer, out

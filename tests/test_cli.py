@@ -418,6 +418,28 @@ def test_zero_oracle_cap_skips_the_oracle(capsys):
     assert json.loads(out)["meta"]["engines"] == ["dp", "closed", "gf"]
 
 
+def test_the_oracle_refuses_a_left_to_right_height_past_its_cap(capsys):
+    """One up-step reaches any height, so `count --n 7 --k 100` has about
+    2e9 paths to enumerate: the oracle refuses it, and a total's bound past
+    its cap, before enumerating, while the other engines answer at once."""
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "count", "--n", "7", "--k", "100", "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert rc == EXIT_OK and json.loads(out)["meta"]["engines"] == ["dp", "closed", "gf"]
+    rc, _, err = run_cli(capsys, "count", "--n", "7", "--k", "100", "--engine", "oracle")
+    assert rc == EXIT_ORACLE_CAP and "oracle cap exceeded: k=100 > 10" in err
+    rc, _, err = run_cli(capsys, "count", "--n", "3", "--total", "--bound", "11",
+                         "--engine", "oracle")
+    assert rc == EXIT_ORACLE_CAP and "oracle cap exceeded: bound=11 > 10" in err
+    rc, out, _ = run_cli(capsys, "count", "--n", "3", "--k", "100", "--engine", "oracle",
+                         "--oracle-cap", "100")
+    assert rc == EXIT_OK and out.strip() == "5355"
+    # right to left a path rises by unit steps, so its end height needs no cap
+    rc, out, _ = run_cli(capsys, "count", "--n", "3", "--k", "100", "--orientation", "r2l",
+                         "--engine", "oracle")
+    assert rc == EXIT_OK and out.strip() == "0"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_answers_past_the_digit_limit_print(capsys, fmt):
     # catalan(8000) has 4811 digits, past the interpreter's default limit of

@@ -1,11 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lukaspaths import counts, series
+from lukaspaths import series
 from lukaspaths.alternate import alt_series
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
-from lukaspaths.engines import series_for_query
 from lukaspaths.series import Series, catalan_gf
 
 from reference import KINDS, PREFIX_ROWS, SUFFIX_ROWS, catalan
@@ -114,16 +113,25 @@ SERIES_FAMILIES = {
     k=st.integers(0, 12),
     kind=st.sampled_from(KINDS),
     order=st.integers(1, 81),
+    far=st.integers(81, 300),
 )
-def test_unbounded_series_match_dp_past_the_grid(family, k, kind, order):
+@example(family="prefix", k=3000, kind=EndKind.ANY, order=8, far=81)
+@example(family="suffix", k=3000, kind=EndKind.ANY, order=8, far=81)
+@example(family="alternate", k=3000, kind=EndKind.ANY, order=8, far=81)
+def test_unbounded_series_match_dp_past_the_grid(family, k, kind, order, far):
     """Every coefficient of every unbounded gf family equals the DP count,
-    for k <= 12 and n <= 80.  The series charge the empty path to the k = 0
-    up family, the DP to Any only."""
+    for k <= 12 and n <= 80, and so does one coefficient at n = `far`, up to
+    300.  At k = 3000 and order 8 the power walk takes thousands of steps at
+    a tiny order, where the dot products that give each power's top
+    coefficients carry every term.  The series charge the empty path to the
+    k = 0 up family, the DP to Any only."""
     series_fn, orientation, alternate = SERIES_FAMILIES[family]
     coeffs = series_fn(k, kind, order).integer_coefficients()
     dp = [dp_count(PathQuery(n, k, kind, orientation, alternate=alternate)) for n in range(order)]
     dp[0] += k == 0 and kind is EndKind.UP
     assert coeffs == dp
+    want = dp_count(PathQuery(far, k, kind, orientation, alternate=alternate))
+    assert series_fn(k, kind, far + 1)[far] == want
 
 
 def test_flat_relation():
@@ -159,13 +167,14 @@ def test_prefix_any_k0_is_catalan():
 
 @pytest.fixture
 def full_products(monkeypatch):
-    """The `series._convolve` calls whose shorter trimmed operand has more
-    than two terms: the full products, not a product with 1, z or 1 + z^2."""
+    """The `series._convolve` calls whose shorter operand has more than two
+    nonzero terms: the full products, not a product with z, 1 + z^2 or
+    1 - 2z^3."""
     calls = []
     convolve = series._convolve
 
     def counted(a, b, m):
-        if min(len(series._trim(a[:m])), len(series._trim(b[:m]))) > 2:
+        if min(sum(map(bool, a[:m])), sum(map(bool, b[:m]))) > 2:
             calls.append(m)
         return convolve(a, b, m)
 
@@ -173,27 +182,18 @@ def full_products(monkeypatch):
     return calls
 
 
-def _products(calls, build) -> int:
-    calls.clear()
-    build()
-    return len(calls)
-
-
-def test_families_take_l_squared_without_a_product(full_products):
-    """L^2 = (L - 1)/z costs no product, so z^2 L^3 takes one, the
-    right-to-left total none, and every family with a power p >= 2 one fewer
-    than `L ** p` (order 64, k <= 12, every kind, both orientations)."""
+def test_no_unbounded_family_takes_a_full_product(full_products):
+    """Every power of L and of r = 1/s1 comes from a three-term walk, so no
+    unbounded family multiplies two long series: order 64, k <= 12, every
+    kind, plain in both orientations with the right-to-left total, and
+    alternate."""
     order = 64
-    assert _products(full_products, lambda: prefix_series(0, EndKind.DOWN, order)) == 1
-    total = lambda: series_for_query(None, orientation=Orientation.R2L, order=order)
-    assert _products(full_products, total) == 0
-    L = catalan_gf(order)
-    for orientation in Orientation:
-        build = prefix_series if orientation is Orientation.L2R else suffix_series
-        for k in range(13):
-            for kind in KINDS:
-                p = counts._family(orientation, k, kind)[0]
-                if p < 2:
-                    continue
-                got = _products(full_products, lambda: build(k, kind, order))
-                assert got == _products(full_products, lambda: L**p) - 1, (orientation, k, kind)
+    square = catalan_gf(order) * catalan_gf(order)
+    assert full_products == [order], square  # the counter sees a full product
+    full_products.clear()
+    suffix_series(None, EndKind.ANY, order)
+    for k in range(13):
+        for kind in KINDS:
+            for build in (prefix_series, suffix_series, alt_series):
+                build(k, kind, order)
+    assert full_products == []

@@ -39,7 +39,9 @@ def _grid(n_max: int):
 def _domains(query: PathQuery, oracle_cap: int) -> list[str]:
     """The engines that define a count for the query, in asking order."""
     unbounded = query.bound is None
-    engines = ["oracle"] if query.n <= oracle_cap else []
+    top = query.k if query.k is not None else query.bound  # l2r: reached by one up-step
+    oracle = query.n <= oracle_cap and (query.orientation is Orientation.R2L or top <= oracle_cap)
+    engines = ["oracle"] if oracle else []
     engines.append("dp")
     if not query.alternate and unbounded:
         engines.append("closed")

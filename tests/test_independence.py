@@ -18,17 +18,22 @@ DP_AND_ORACLE = ("dp_count", "_bound_sweep", "_walk_step", "enumerate_count",
                  "enumerate_profile")
 
 
-def _names_in_code(module: types.ModuleType) -> set[str]:
-    """Every global, attribute and imported name the module's code refers
-    to, inside functions and methods too."""
-    path = Path(module.__file__)
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
-    names: set[str] = set()
+def _names_in(code: types.CodeType) -> set[str]:
+    """Every global, attribute and imported name `code` refers to, inside
+    its nested functions and comprehensions too."""
+    stack, names = [code], set()
     while stack:
         code = stack.pop()
         names.update(code.co_names)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     return names
+
+
+def _names_in_code(module: types.ModuleType) -> set[str]:
+    """Every name the module's code refers to, inside functions and methods
+    too."""
+    path = Path(module.__file__)
+    return _names_in(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
 
 
 @pytest.mark.parametrize("name", ["series", "counts", "bounded", "alternate"])
@@ -39,6 +44,30 @@ def test_gf_modules_use_no_dp_or_oracle_function(name):
              if any(value is fn for fn in functions)]
     assert bound == [], f"{name} binds {bound}"
     assert not _names_in_code(module) & set(DP_AND_ORACLE), name
+
+
+#: The bounded system's Cramer column table in `core`, which the closed and
+#: gf engines read, bounded and unbounded.
+COLUMN_TABLE = {"_BASE", "_OFFSETS", "_column"}
+
+
+@pytest.mark.parametrize("name", ["dp_count", "_walk_step", "_kind_step", "_walk_end",
+                                  "_bound_sweep", "_census", "_tally"])
+def test_dp_and_oracle_read_no_column_table(name):
+    """The table lives in `core` beside the DP and the oracle, which stay
+    independent checks of it only while their code never names it."""
+    assert not _names_in(getattr(core, name).__code__) & COLUMN_TABLE
+
+
+def test_every_unbounded_column_has_a_plus_sign():
+    """A column sign z^P D_(t+d) over D_t tends to sign (-1)^d z^P L^(-d),
+    since D_(t+1)/D_t -> -1/L.  The unbounded families read it as
+    z^P L^(-d), which holds only if sign (-1)^d = +1: k <= 12, every kind,
+    both orientations."""
+    for orientation, k, kind in product(Orientation, range(13), KINDS):
+        for off in core._OFFSETS[kind]:
+            sign, _, d = core._column(3 * k + off, orientation)
+            assert sign * (-1) ** d == 1, (orientation, k, kind)
 
 
 def test_series_kernel_names_no_binomial():

@@ -10,7 +10,9 @@ from lukaspaths.alternate import alt_series, dominant_root, s1_series
 from lukaspaths.asymptotics import avg_height, substitution_check
 from lukaspaths.bounded import bounded_gf, n_poly, total_bounded_gf
 from lukaspaths.cli import EXIT_DISAGREE, main
-from lukaspaths.core import EndKind, OracleCapError, Orientation, PathQuery, enumerate_profile
+from lukaspaths.core import (
+    EndKind, OracleCapError, Orientation, PathQuery, enumerate_count, enumerate_profile,
+)
 from lukaspaths.counts import prefix_count
 from lukaspaths.series import Series, catalan_gf
 
@@ -78,6 +80,9 @@ def test_count_by_engine_refuses_an_unknown_engine():
     (lambda: bounded_gf(-1, 0), ValueError, "bound must be nonnegative"),
     (lambda: total_bounded_gf(-1), ValueError, "bound must be nonnegative"),
     (lambda: enumerate_profile(11), OracleCapError, "oracle cap exceeded: n=11 > 10"),
+    (lambda: enumerate_count(PathQuery(3, 11)), OracleCapError, "oracle cap exceeded: k=11 > 10"),
+    (lambda: enumerate_count(PathQuery(3, bound=11)), OracleCapError,
+     "oracle cap exceeded: bound=11 > 10"),
     (lambda: prefix_count(3, None), ValueError, "end height must be nonnegative"),
     (lambda: prefix_count(-1, 0), ValueError, "length must be nonnegative"),
     (lambda: Series([1, 2])[5], IndexError, "coefficient 5 unknown at truncation order 2"),

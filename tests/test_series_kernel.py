@@ -2,16 +2,17 @@
 generating-function engine against the closed forms and the dynamic program
 well past the n <= 9 grid."""
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lukaspaths.alternate import alt_series
+from lukaspaths.alternate import alt_series, s1_series
 from lukaspaths.bounded import bounded_gf, n_poly, total_bounded_gf
 from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.engines import series_for_query
-from lukaspaths.series import IntPoly, RationalGF, Series
+from lukaspaths.series import IntPoly, RationalGF, Series, catalan_gf, quadratic_powers
 
 from reference import KINDS
 
@@ -124,6 +125,18 @@ def test_div_and_inverse_match_reference(qb):
 @given(coefficient_lists(), st.integers(min_value=0, max_value=7))
 def test_pow_matches_reference(a, k):
     assert list((Series(a) ** k).coeffs) == ref_pow(a, k)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 40])
+def test_quadratic_powers_match_reference(order):
+    """The walk's powers of L (z L^2 - L + 1 = 0) and of r = 1/s1
+    (z^2 r^2 - (1 - 2z^3) r + (1 + z^2) = 0) equal repeated products, also
+    at orders at or below v, where the dot products give every coefficient."""
+    L = catalan_gf(order).coeffs
+    r = (Series.one(order + 2) / s1_series(order + 2)).coeffs[:order]
+    for x, alpha, beta, v in ((L, (1,), (1,), 1), (r, (1, 0, 0, -2), (1, 0, 1), 2)):
+        walk = islice(quadratic_powers(x, alpha, beta, v), 14)
+        assert [*map(list, walk)] == [ref_pow(list(x), j) for j in range(14)]
 
 
 @kernel_settings

@@ -12,7 +12,8 @@ standard error.
 
 The grid covers `count` over every engine, format and query shape, with
 refusals and oracle caps; `series` in every format, with alternate and
-bounded rows to order 300 at bounds 40 and 41; `check` against bundled,
+bounded rows to order 300 at bounds 40 and 41, unbounded rows to order 1000,
+and rows at end height 3000; `check` against bundled,
 missing and malformed b-files; `height` for every family and route, and by
 the gf route at n = 128; `selftest` with and without `--quick`; every help
 text; and the usage and domain errors.
@@ -113,6 +114,14 @@ def grid(bfiles: Path) -> list[Case]:
     for k, kind in product((0, 3), _KINDS):
         add("series", "--k", k, "--kind", kind, "--alternate", "--order", 300)
     add("series", "--total", "--bound", 3, "--order", 300, "--format", "json")
+    # the power walk's order bookkeeping: long orders, and many steps at a tiny order
+    for k, kind, orientation in product((0, 12, 40), ("any", "down"), _ORIENTATIONS):
+        add("series", "--k", k, "--kind", kind, "--orientation", orientation, "--order", 1000)
+    for k in (3, 20):
+        add("series", "--k", k, "--alternate", "--order", 1000)
+    add("series", "--k", 3000, "--order", 8)
+    add("series", "--k", 3000, "--alternate", "--order", 8)
+    add("count", "--n", 7, "--k", 3000, "--engine", "gf")
     # deep bounded cases at both parities of the bound, since D_t(0) = (-1)^(t+1)
     for k, kind, orientation, bound in product((0, 3), ("any", "up"), _ORIENTATIONS, (40, 41)):
         add("series", "--k", k, "--kind", kind, "--orientation", orientation,
