@@ -46,8 +46,8 @@ def test_gf_modules_use_no_dp_or_oracle_function(name):
     assert not _names_in_code(module) & set(DP_AND_ORACLE), name
 
 
-#: The bounded system's Cramer column table in `core`, which the closed and
-#: gf engines read, bounded and unbounded.
+#: The bounded system's Cramer column table in `core`, which the gf engine
+#: reads bounded and unbounded, and the closed engine unbounded.
 COLUMN_TABLE = {"_BASE", "_OFFSETS", "_column"}
 
 
