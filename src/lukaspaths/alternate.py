@@ -16,7 +16,7 @@ import math
 from itertools import islice, zip_longest
 from typing import NamedTuple
 
-from .core import EndKind
+from .core import EndKind, PathQuery
 from .series import DEFAULT_ORDER, IntPoly, Series, quadratic_powers
 
 # Only the bisection below works in rationals, so `dominant_root` and
@@ -65,10 +65,9 @@ def alt_series(k: int, kind: EndKind = EndKind.ANY, order: int = DEFAULT_ORDER) 
     in `s1_series` and by 1 + z^2.  `quadratic_powers` walks the powers of r,
     a root of z^2 r^2 - (1 - 2z^3) r + (1 + z^2) = 0, up to the row's end.
     """
-    if k < 0:
-        raise ValueError("end height must be nonnegative")
     if order < 1:
         raise ValueError("order must be positive")
+    PathQuery(order - 1, k, kind, alternate=True)
     m = order + 2
     r = (_ONE_MINUS_2Z3.to_series(m) - _ONE_PLUS_Z2.to_series(m) * s1_series(m)).shift_down(2)
     powers = quadratic_powers(r.coeffs, _ONE_MINUS_2Z3.coeffs, _ONE_PLUS_Z2.coeffs, 2)

@@ -80,20 +80,19 @@ def n_poly(t: int, idx: int, orientation: Orientation = Orientation.L2R) -> IntP
 
 def bounded_gf(
     t: int,
-    k: int,
+    k: Optional[int],
     kind: EndKind = EndKind.ANY,
     orientation: Orientation = Orientation.L2R,
 ) -> RationalGF:
     """Generating function of height-bounded paths ending at height k with
     the given kind of step, as the Cramer solution N/D_t: N is the sum of
     the kind's `n_poly` columns and D_t is `d_poly(t)`, the determinant.
-    The signs live in these polynomials, so expansions are the counts."""
-    if k < 0:
-        raise ValueError("end height must be nonnegative")
-    if t < 0:
-        raise ValueError("bound must be nonnegative")
-    if k > t:
-        raise ValueError(f"height above bound: k={k} > t={t}")
+    The signs live in these polynomials, so expansions are the counts.
+    ``k is None`` is the total over end heights, `total_bounded_gf`; the
+    fields are checked as `PathQuery` checks them."""
+    PathQuery(0, k, kind, orientation, t)
+    if k is None:
+        return total_bounded_gf(t, orientation)
     num = IntPoly()
     for off in _OFFSETS[kind]:
         num = num + n_poly(t, 3 * k + off, orientation)
@@ -103,8 +102,7 @@ def bounded_gf(
 def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> RationalGF:
     """Generating function of bounded paths of any end height and kind:
     1/F_t left-to-right; D_{t-2}/D_t right-to-left."""
-    if t < 0:
-        raise ValueError("bound must be nonnegative")
+    PathQuery(0, None, EndKind.ANY, orientation, t)
     if orientation is Orientation.L2R:
         return RationalGF(IntPoly([(-1) ** (t + 1)]), d_poly(t))
     return RationalGF(_d(t - 2), d_poly(t))
@@ -112,9 +110,9 @@ def total_bounded_gf(t: int, orientation: Orientation = Orientation.L2R) -> Rati
 
 def _gf_bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Iterator[int]:
     """c_t(n), the n-th coefficient of `bounded_gf(t, k, EndKind.ANY,
-    orientation)`, for t = k, k+1, ...; with k None, of
-    `total_bounded_gf(t, R2L)` for t = 0, 1, ...; what `PathQuery` refuses,
-    the left-to-right total included, raises before the first value.
+    orientation)`, for t = k, k+1, ... (t = 0, 1, ... with k None, the
+    right-to-left total); what `PathQuery` refuses, the left-to-right total
+    included, raises before the first value.
 
     The GFs of the first two bounds seed the sweep.  Each numerator column
     is a signed z-shift of D_{t-r} with r fixed by the column, and the
@@ -128,12 +126,10 @@ def _gf_bound_sweep(n: int, k: Optional[int], orientation: Orientation) -> Itera
     above it.
     """
     PathQuery(n, k, EndKind.ANY, orientation)
-    t0 = 0 if k is None else k
-    seeds = [total_bounded_gf(t, orientation) if k is None
-             else bounded_gf(t, k, EndKind.ANY, orientation) for t in (t0, t0 + 1)]
+    seeds = [bounded_gf(t, k, EndKind.ANY, orientation) for t in (k or 0, (k or 0) + 1)]
     num, den = tuple(gf.num for gf in seeds), tuple(gf.den for gf in seeds)
     w = (num[1] * den[0] - num[0] * den[1]).coeffs
-    same = next(i for i, c in enumerate(w) if c)  # val(W_(t0+1))
+    same = next(i for i, c in enumerate(w) if c)  # val(W) at the second seed's bound
     coeffs = seeds[0].expand(n + 1).coeffs
     while True:
         yield coeffs[n]

@@ -271,6 +271,8 @@ def enumerate_profile(
     the empty path as (0, None, 0).  Bounded and per-kind counts for a whole
     query grid follow by summation, which keeps cross-engine sweeps affordable.
     """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     if n > DEFAULT_ORACLE_CAP:
         raise OracleCapError(f"oracle cap exceeded: n={n} > {DEFAULT_ORACLE_CAP}")
     return _census(n, orientation, alternate)

@@ -8,7 +8,9 @@ reads [z^m] L^p as the ballot number p/(2m + p) C(2m + p, m) (Lagrange
 inversion, Flajolet & Sedgewick, Analytic Combinatorics, App. A.6).
 
 The series put the empty path in the k = 0 up family (constant term 1); the
-counters charge it to the Any kind only.  For n >= 1 the two agree.
+counters charge it to the Any kind only.  For n >= 1 the two agree.  Every
+entry point checks its fields by building the unbounded `PathQuery`, so a
+bad query is refused in its words; the one total it admits is right to left.
 """
 from __future__ import annotations
 
@@ -17,18 +19,16 @@ from math import comb
 from operator import add
 from typing import Optional
 
-from .core import EndKind, Orientation, _OFFSETS, _column
+from .core import EndKind, Orientation, PathQuery, _OFFSETS, _column
 from .series import DEFAULT_ORDER, Series, catalan_gf, quadratic_powers
 
 
 def _family(orientation: Orientation, k: Optional[int], kind: EndKind) -> list[tuple[int, int]]:
-    """The (power, shift) of each term z^shift L^power of the family: its
-    kind's columns at t -> oo.  ``k is None`` is the right-to-left total
-    over end heights, D_(t-2)/D_t -> L^2."""
-    if k is None and orientation is Orientation.R2L and kind is EndKind.ANY:
+    """The (power, shift) of each term z^shift L^power of a family that
+    `PathQuery` admits: its kind's columns at t -> oo.  ``k is None`` is
+    then the right-to-left total over end heights, D_(t-2)/D_t -> L^2."""
+    if k is None:
         return [(2, 0)]
-    if k is None or k < 0:
-        raise ValueError("end height must be nonnegative")
     columns = (_column(3 * k + off, orientation) for off in _OFFSETS[kind])
     return [(-offset, power) for _, power, offset in columns]
 
@@ -41,18 +41,17 @@ def _ballot(p: int, m: int) -> int:
 
 
 def _count(orientation: Orientation, n: int, k: Optional[int], kind: EndKind) -> int:
-    terms = _family(orientation, k, kind)
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    PathQuery(n, k, kind, orientation)
     if n == 0 and kind is not EndKind.ANY:
         return 0  # the query convention charges the empty path to Any only
-    return sum(_ballot(p, n - s) for p, s in terms)
+    return sum(_ballot(p, n - s) for p, s in _family(orientation, k, kind))
 
 
 def _series(orientation: Orientation, k: Optional[int], kind: EndKind, order: int) -> Series:
     """The sum of the family's terms z^s L^p, every L^p from one walk of
     L^p = (L^(p-1) - L^(p-2)) / z at the order the smallest shift needs; a
     term with s >= order adds nothing."""
+    PathQuery(order - 1, k, kind, orientation)
     terms = sorted((p, s) for p, s in _family(orientation, k, kind) if s < order)
     out, j = [0] * order, -1
     if terms:

@@ -61,10 +61,6 @@ def series_for_query(
         reach = order - 1 + (k if orientation is Orientation.L2R else 0)
         bound = min(bound, max(k or 0, reach))
     if bound is not None:
-        if k is None:
-            from .bounded import total_bounded_gf
-
-            return total_bounded_gf(bound, orientation).expand(order)
         from .bounded import bounded_gf
 
         return bounded_gf(bound, k, kind, orientation).expand(order)

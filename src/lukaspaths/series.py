@@ -109,9 +109,7 @@ class Series:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other) -> "Series":
-        if not isinstance(other, Series):
-            other = Series.constant(other, self.order)
+    def __add__(self, other: "Series") -> "Series":
         return Series([p + q for p, q in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Series":
@@ -173,11 +171,6 @@ class Series:
         return Series(y)
 
     # -- shifts ------------------------------------------------------------
-
-    def shift_up(self, j: int) -> "Series":
-        """Multiply by z^j, keeping the truncation order."""
-        keep = max(self.order - j, 0)
-        return Series((0,) * min(j, self.order) + self.coeffs[:keep])
 
     def shift_down(self, j: int) -> "Series":
         """Divide by z^j; requires valuation >= j.  The order shrinks by j."""

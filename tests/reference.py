@@ -160,4 +160,4 @@ def s2_series(order: int = DEFAULT_ORDER) -> Series:
     if order < 3:
         raise ValueError("order must be at least 3 to see the valuation")
     s1 = s1_series(order)
-    return (_ONE_PLUS_Z2.to_series(order) * s1).inverse().shift_up(2)
+    return Series((0, 0, *(_ONE_PLUS_Z2.to_series(order) * s1).inverse().coeffs[:-2]))

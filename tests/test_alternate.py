@@ -142,7 +142,7 @@ def test_alt_flat_relation():
         f = alt_series(k, EndKind.UP, order)
         g = alt_series(k, EndKind.DOWN, order)
         h = alt_series(k, EndKind.FLAT, order)
-        assert h == (f + g).shift_up(1), k
+        assert h.coeffs == (0, *(f + g).coeffs[:-1]), k
 
 
 def test_dominant_root_digits():

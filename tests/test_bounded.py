@@ -234,7 +234,7 @@ def test_bounded_gf_keeps_the_determinant_as_denominator(orientation):
 
 
 def test_bounded_gf_height_above_bound():
-    with pytest.raises(ValueError, match="height above bound"):
+    with pytest.raises(ValueError, match="end height exceeds the height bound"):
         bounded_gf(2, 3, EndKind.ANY)
 
 
@@ -245,12 +245,18 @@ def test_f2_printed_rows(t, row):
 
 @pytest.mark.parametrize("t,row", TOTAL_L2R_ROWS.items())
 def test_total_rows_l2r(t, row):
-    assert total_bounded_gf(t).coefficients_int(10) == row
+    total = total_bounded_gf(t)
+    assert total.coefficients_int(10) == row
+    gf = bounded_gf(t, None, EndKind.ANY, Orientation.L2R)
+    assert (gf.num, gf.den) == (total.num, total.den)
 
 
 @pytest.mark.parametrize("t,row", TOTAL_R2L_ROWS.items())
 def test_total_rows_r2l(t, row):
-    assert total_bounded_gf(t, Orientation.R2L).coefficients_int(10) == row
+    total = total_bounded_gf(t, Orientation.R2L)
+    assert total.coefficients_int(10) == row
+    gf = bounded_gf(t, None, EndKind.ANY, Orientation.R2L)
+    assert (gf.num, gf.den) == (total.num, total.den)
 
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])

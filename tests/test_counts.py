@@ -144,12 +144,9 @@ def test_flat_relation():
             f = series_fn(k, EndKind.UP, order)
             g = series_fn(k, EndKind.DOWN, order)
             h = series_fn(k, EndKind.FLAT, order)
-            expect = ratio * (f + g)
-            if series_fn is prefix_series and k == 0:
-                # the epsilon path feeds the flat state: z/(1-z) * f0 covers F, FF, ...
-                assert h == expect
-            else:
-                assert h == expect
+            # at k = 0 left to right the epsilon path feeds the flat state:
+            # z/(1-z) * f0 covers F, FF, ...
+            assert h == ratio * (f + g), (series_fn.__name__, k)
 
 
 def test_shift_bijection_total_is_next_catalan():

@@ -7,12 +7,14 @@ own body: in the library, in `tools/` or in `perfbench/`, as a `Name`, an
 the tests (`tests/reference.py` holds such code).  The paper's results that
 nothing calls are the only exceptions.
 
-The scan has two limits.  First, the members that `perfbench/tracer.py`
-wraps by name (`IntPoly.exact_div`, `Series.inverse` and the like) pass
-because the tracer names them, even where no library code calls them.
-Second, it matches by name, not by binding: a name used anywhere keeps
-every definition of that name alive, so it could not have flagged a
-library `catalan` while `tools/gen_bfiles.py` defines and calls its own.
+The scan has two limits, each watched by a test of its own.  First, the
+members that `perfbench/tracer.py` wraps by name pass because the tracer
+names them, even where no library code calls them; `TRACER_ONLY` lists
+them, so a new one fails here.  Second, it matches by name, not by
+binding: a name used anywhere keeps every definition of that name alive,
+so it could not have flagged a library `catalan` while
+`tools/gen_bfiles.py` defines and calls its own.  Within the library no two
+definitions share a name, so there one caller cannot keep two alive.
 """
 import ast
 from collections import Counter
@@ -23,6 +25,9 @@ LIBRARY = ROOT / "src" / "lukaspaths"
 
 #: Results of the paper that the library reports but never calls.
 PAPER_RESULTS = {"substitution_check", "alt_asymptotic"}
+#: Members that only `perfbench/` names: the tracer wraps or reads them.
+TRACER_ONLY = {"series.Series.inverse", "series.IntPoly.exact_div", "series.IntPoly.degree",
+               "series.RationalGF.coefficients_int"}
 
 
 def _names(node: ast.AST) -> Counter:
@@ -54,27 +59,41 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{member.name}", member
 
 
-def _uncalled() -> list[str]:
-    files = [*LIBRARY.glob("*.py"), *(ROOT / "tools").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    named = sum((_names(tree) for tree in trees.values()), Counter())
-    uncalled = []
-    for path, tree in trees.items():
-        if path.parent != LIBRARY or path.name == "__init__.py":
-            continue
-        for qualname, node in _definitions(tree):
-            name = node.name
-            if name in PAPER_RESULTS:
-                continue
-            if named[name] - _names(node)[name] <= 0:  # a body naming itself is no caller
-                uncalled.append(f"{path.stem}.{qualname}")
-    return sorted(uncalled)
+def _library_definitions():
+    """(module.qualified name, node) of every definition `_definitions`
+    yields in the library modules bar `__init__.py`."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name != "__init__.py":
+            for qualname, node in _definitions(ast.parse(path.read_text(), str(path))):
+                yield f"{path.stem}.{qualname}", node
+
+
+def _uncalled(*dirs: str) -> set[str]:
+    """The library definitions, bar `PAPER_RESULTS`, that no module in
+    the library or `dirs` names outside their own body."""
+    files = [*LIBRARY.glob("*.py"), *(path for d in dirs for path in (ROOT / d).glob("*.py"))]
+    named = sum((_names(ast.parse(path.read_text(), str(path))) for path in files), Counter())
+    # a body naming itself is no caller
+    return {qualname for qualname, node in _library_definitions()
+            if node.name not in PAPER_RESULTS and named[node.name] - _names(node)[node.name] <= 0}
 
 
 def test_every_library_definition_has_a_caller():
-    uncalled = _uncalled()
+    uncalled = sorted(_uncalled("tools", "perfbench"))
     assert uncalled == [], f"named nowhere outside their own body: {uncalled}"
+
+
+def test_tracer_only_members_are_listed():
+    """What only `perfbench/` names is exactly `TRACER_ONLY`."""
+    assert _uncalled("tools") - _uncalled("tools", "perfbench") == TRACER_ONLY
+
+
+def test_library_definitions_have_distinct_names():
+    """The name-matching scan keeps a definition alive through any use of
+    its name, so a definition that shares one with another could pass on
+    the other's callers."""
+    names = Counter(node.name for _, node in _library_definitions())
+    assert [name for name, c in names.items() if c > 1] == []
 
 
 def _bound(path: Path) -> set[str]:

@@ -11,9 +11,10 @@ from lukaspaths.asymptotics import avg_height, substitution_check
 from lukaspaths.bounded import bounded_gf, n_poly, total_bounded_gf
 from lukaspaths.cli import EXIT_DISAGREE, main
 from lukaspaths.core import (
-    EndKind, OracleCapError, Orientation, PathQuery, enumerate_count, enumerate_profile,
+    EndKind, EngineDomainError, InfiniteFamilyError, OracleCapError, Orientation, PathQuery,
+    enumerate_count, enumerate_profile,
 )
-from lukaspaths.counts import prefix_count
+from lukaspaths.counts import prefix_count, suffix_count
 from lukaspaths.series import Series, catalan_gf
 
 #: The first query of the n <= 2 grid that the planted fault below changes.
@@ -71,6 +72,8 @@ def test_count_by_engine_refuses_an_unknown_engine():
 @pytest.mark.parametrize("call,error,message", [
     (lambda: s1_series(0), ValueError, "order must be positive"),
     (lambda: alt_series(-1), ValueError, "end height must be nonnegative"),
+    (lambda: alt_series(None), InfiniteFamilyError,
+     "infinite family: unbounded l2r query with no end height"),
     (lambda: dominant_root(0), ValueError, "tolerance must be positive"),
     (lambda: avg_height(5, "return-to-zero", route="closed"), ValueError,
      "route must be 'gf' or 'dp'"),
@@ -78,13 +81,19 @@ def test_count_by_engine_refuses_an_unknown_engine():
     (lambda: n_poly(-1, 1), ValueError, "bound must be nonnegative"),
     (lambda: bounded_gf(2, -1), ValueError, "end height must be nonnegative"),
     (lambda: bounded_gf(-1, 0), ValueError, "bound must be nonnegative"),
+    (lambda: bounded_gf(2, None, EndKind.UP), EngineDomainError,
+     "totals over end heights are defined for kind=any only"),
     (lambda: total_bounded_gf(-1), ValueError, "bound must be nonnegative"),
     (lambda: enumerate_profile(11), OracleCapError, "oracle cap exceeded: n=11 > 10"),
+    (lambda: enumerate_profile(-1), ValueError, "length must be nonnegative"),
     (lambda: enumerate_count(PathQuery(3, 11)), OracleCapError, "oracle cap exceeded: k=11 > 10"),
     (lambda: enumerate_count(PathQuery(3, bound=11)), OracleCapError,
      "oracle cap exceeded: bound=11 > 10"),
-    (lambda: prefix_count(3, None), ValueError, "end height must be nonnegative"),
+    (lambda: prefix_count(3, None), InfiniteFamilyError,
+     "infinite family: unbounded l2r query with no end height"),
     (lambda: prefix_count(-1, 0), ValueError, "length must be nonnegative"),
+    (lambda: suffix_count(3, None, EndKind.UP), EngineDomainError,
+     "totals over end heights are defined for kind=any only"),
     (lambda: Series([1, 2])[5], IndexError, "coefficient 5 unknown at truncation order 2"),
     (lambda: Series([1]) ** -1, ValueError, "negative powers: invert first"),
     (lambda: Series([0, 1]).shift_down(2), ValueError, "order too small to shift down"),

@@ -252,9 +252,6 @@ def test_series_rejects_non_integer_coefficients():
 
 def test_shift_semantics():
     s = Series([1, 2, 3, 4])
-    assert s.shift_up(2).coeffs == Series([0, 0, 1, 2]).coeffs
-    assert s.shift_up(2).order == 4
-    assert s.shift_up(0) == s
     assert IntPoly([0, 3]).shift_up(2) == IntPoly([0, 0, 0, 3])
     assert IntPoly().shift_up(2) == IntPoly()
     t = Series([0, 0, 7, 9])
