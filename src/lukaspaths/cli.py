@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_height = sub.add_parser("height", help="exact average heights vs sqrt(pi n)")
-    p_height.add_argument("--family", choices=list(FAMILIES), required=True)
+    p_height.add_argument("--family", choices=list(FAMILIES), required=True, metavar="FAMILY",
+                          help=f"path family: {', '.join(FAMILIES)}")
     p_height.add_argument(
         "--k", type=_nonnegative_int, default=None, help="end height for *-at-k families"
     )

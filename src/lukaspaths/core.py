@@ -144,10 +144,11 @@ def _census(
     alternate: bool,
     k: Optional[int] = None,
     bound: Optional[int] = None,
-) -> dict[tuple[int, Optional[EndKind], int], int]:
+) -> dict[tuple[int, EndKind, int], int]:
     """The oracle's one walker: generate every path of length n step by step
     and count the paths by (end height, last step kind, max height); the
-    empty path has no last step, so its key is (0, None, 0).
+    empty path is in the k = 0 up family, as in the paper's f_0, so its key
+    is (0, EndKind.UP, 0).
 
     After a step from height h, with ``rem`` steps still to take, the new
     height lies in [max(h - 1, 0), min(bound, hi + rem)] left to right and in
@@ -168,7 +169,8 @@ def _census(
 
     Inside the walk a bucket key is one int, (end height * span + max
     height) * 4 + kind, with kinds 0-2 the indices of `STEP_KINDS`, 3 for
-    the empty path, and a span above every reachable max height: hi + n - 1
+    the empty path (no previous step for the alternation rule to match; it
+    decodes to up), and a span above every reachable max height: hi + n - 1
     at most, as a step never climbs past hi + rem.  The keys are decoded to
     tuples once, after the walk.
     """
@@ -224,7 +226,7 @@ def _census(
             buckets.update(chain.from_iterable(keys) if left == _TABLE_STEPS else keys)
 
     walk(0, 0, 3, n)
-    kinds = (*STEP_KINDS, None)
+    kinds = (*STEP_KINDS, EndKind.UP)
     census = {}
     for key, c in buckets.items():
         key, last = divmod(key, 4)
@@ -233,10 +235,9 @@ def _census(
     return census
 
 
-def _tally(census: dict[tuple[int, Optional[EndKind], int], int], query: PathQuery) -> int:
+def _tally(census: dict[tuple[int, EndKind, int], int], query: PathQuery) -> int:
     """The paths of a length-n census that answer `query`: end height k (any
-    if k is None), the query's last step kind, max height within the bound.
-    The empty path, of kind None, counts for kind Any only."""
+    if k is None), the query's last step kind, max height within the bound."""
     k, kind, bound = query.k, query.kind, query.bound
     return sum(
         c for (h, last, top), c in census.items()
@@ -265,11 +266,12 @@ def enumerate_profile(
     n: int,
     orientation: Orientation = Orientation.L2R,
     alternate: bool = False,
-) -> dict[tuple[int, Optional[EndKind], int], int]:
+) -> dict[tuple[int, EndKind, int], int]:
     """Batch oracle: one exhaustive generation pass over all length-n paths
     with end height at most n, bucketed by (end height, end kind, max height),
-    the empty path as (0, None, 0).  Bounded and per-kind counts for a whole
-    query grid follow by summation, which keeps cross-engine sweeps affordable.
+    the empty path as (0, EndKind.UP, 0).  Bounded and per-kind counts for a
+    whole query grid follow by summation, which keeps cross-engine sweeps
+    affordable.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -302,8 +304,8 @@ def dp_count(query: PathQuery) -> int:
     from the other two.
     """
     n, k, bound, alternate = query.n, query.k, query.bound, query.alternate
-    if n == 0:
-        return 1 if query.kind is EndKind.ANY and k in (0, None) else 0
+    if n == 0:  # no last step to split: the empty path is in the k = 0 up family
+        return 1 if query.kind in (EndKind.ANY, EndKind.UP) and k in (0, None) else 0
     if query.orientation is Orientation.R2L:
         walk, end, last = [1], k, n
     else:

@@ -7,8 +7,8 @@ with every power of L from one walk of L = 1 + z L^2, and the closed engine
 reads [z^m] L^p as the ballot number p/(2m + p) C(2m + p, m) (Lagrange
 inversion, Flajolet & Sedgewick, Analytic Combinatorics, App. A.6).
 
-The series put the empty path in the k = 0 up family (constant term 1); the
-counters charge it to the Any kind only.  For n >= 1 the two agree.  Every
+The empty path is in the k = 0 up family, as in the paper's f_0, so every
+count is its series coefficient at every length, n = 0 included.  Every
 entry point checks its fields by building the unbounded `PathQuery`, so a
 bad query is refused in its words; the one total it admits is right to left.
 """
@@ -42,8 +42,6 @@ def _ballot(p: int, m: int) -> int:
 
 def _count(orientation: Orientation, n: int, k: Optional[int], kind: EndKind) -> int:
     PathQuery(n, k, kind, orientation)
-    if n == 0 and kind is not EndKind.ANY:
-        return 0  # the query convention charges the empty path to Any only
     return sum(_ballot(p, n - s) for p, s in _family(orientation, k, kind))
 
 

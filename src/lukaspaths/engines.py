@@ -91,12 +91,7 @@ def count_by_engine(engine: str, query: PathQuery, oracle_cap: int = DEFAULT_ORA
             query.k, query.kind, query.orientation, query.bound, query.alternate,
             order=query.n + 1,
         )
-        value = series.coeffs[query.n]
-        if query.n == 0 and query.kind is not EndKind.ANY:
-            # the series families charge the empty path to the k = 0 up state;
-            # query-level kind counts charge it to Any only
-            value = 0
-        return value
+        return series.coeffs[query.n]
     raise ValueError(f"unknown engine {engine!r}")
 
 

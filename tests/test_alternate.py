@@ -108,24 +108,20 @@ def test_alt_dp_examples():
 
 
 def test_alt_series_equals_dp_wide_grid():
-    """Every coefficient at orders 1, 2 and 41.  The series charge the empty
-    path to the k = 0 up family, the DP to Any only."""
+    """Every coefficient at orders 1, 2 and 41."""
     for order in (1, 2, 41):
         for k in range(0, 7):
             for kind in KINDS:
                 coeffs = alt_series(k, kind, order).integer_coefficients()
                 assert len(coeffs) == order
-                assert coeffs[0] == _alt_dp(0, k, kind) + (k == 0 and kind is EndKind.UP)
-                for n in range(1, order):
+                for n in range(order):
                     assert coeffs[n] == _alt_dp(n, k, kind), (order, n, k, kind)
 
 
-def test_alt_kind_additivity_with_epsilon():
+def test_alt_kind_additivity():
     for n in range(0, 12):
         for k in range(0, 5):
-            parts = sum(_alt_dp(n, k, kd) for kd in KINDS[1:])
-            eps = 1 if (n == 0 and k == 0) else 0
-            assert _alt_dp(n, k) == parts + eps
+            assert _alt_dp(n, k) == sum(_alt_dp(n, k, kd) for kd in KINDS[1:])
 
 
 def test_alternate_subset_of_unrestricted():

@@ -2,6 +2,7 @@
 for a resolved gain and a bounded regression; its refusal of pairs whose
 outputs differ; and the verdict lines it prints."""
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
@@ -103,10 +104,13 @@ def test_verdicts_print_one_line_per_workload_and_metric(tmp_path, monkeypatch, 
         {"name": "wall_s", "better": "lower", "bound": 0.25},
         {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
     ]}))
-    metrics = {trees["parent"]: {"wall_s": 5.0, "peak_rss_mb": 20.0},
-               trees["change"]: {"wall_s": 4.0, "peak_rss_mb": 22.0}}
+    # run i of a side reads wall_s base + i/10, so each side has a spread
+    runs = {tree: itertools.count() for tree in trees.values()}
+    base = {trees["parent"]: (5.0, 20.0), trees["change"]: (4.0, 22.0)}
     monkeypatch.setattr(bench_pairs, "bench_once", lambda tree, workload, seed: {
-        "metrics": metrics[tree], "digest": "abc", "failed": 0, "attempted": 3})
+        "metrics": {"wall_s": base[tree][0] + next(runs[tree]) % 10 / 10,
+                    "peak_rss_mb": base[tree][1]},
+        "digest": "abc", "failed": 0, "attempted": 3})
     out = tmp_path / "BENCH.json"
     code = bench_pairs.main(["--parent", str(trees["parent"]), "--change",
                              str(trees["change"]), "--workload", "height",
@@ -114,9 +118,9 @@ def test_verdicts_print_one_line_per_workload_and_metric(tmp_path, monkeypatch, 
     assert code == 0 and out.exists()
     assert capsys.readouterr().out.splitlines() == [
         line for w in ("height", "small-queries") for line in (
-            f"{w} wall_s: parent 5 -> change 4 (-20.0%), wins 10/10, losses 0, "
-            "within_bound True, gain_resolved True",
-            f"{w} peak_rss_mb: parent 20 -> change 22 (+10.0%), wins 0/10, losses 10, "
-            "within_bound False, gain_resolved False",
+            f"{w} wall_s: parent 5.45 [5.225-5.675] -> change 4.45 [4.225-4.675] (-18.3%), "
+            "wins 10/10, losses 0, within_bound True, gain_resolved True",
+            f"{w} peak_rss_mb: parent 20 [20-20] -> change 22 [22-22] (+10.0%), "
+            "wins 0/10, losses 10, within_bound False, gain_resolved False",
         )
     ]

@@ -246,6 +246,34 @@ def test_unexpected_exception_exits_internal(capsys):
     assert len(err.splitlines()) == 1
 
 
+#: `height`'s usage lines.  `--family` shows a metavar, not its four choices
+#: in braces, which argparse wraps differently on Python 3.13 than before.
+HEIGHT_USAGE = (
+    "usage: lukas height [-h] --family FAMILY [--k K] --n-list N_LIST\n"
+    "                    [--route {gf,dp}] [--precision PRECISION]\n"
+    "                    [--format {json,text}]\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("height", "--help"),
+    ("height", "--family", "nope", "--n-list", "3"),
+    ("height", "--family", "prefix-any", "--n-list", "3"),
+])
+def test_height_usage_is_the_same_on_every_python(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    if exc.value.code == 0:
+        assert captured.out.startswith(HEIGHT_USAGE + "\n") and captured.err == ""
+        assert "--family FAMILY       path family: return-to-zero, prefix-at-k" in captured.out
+    else:
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith(
+            HEIGHT_USAGE + "lukas height: error: argument --family: invalid choice: ")
+
+
 def test_height_infinite_family(capsys):
     # prefix-any is no family `height` offers: argparse refuses it
     with pytest.raises(SystemExit) as exc:

@@ -122,10 +122,14 @@ def test_dp_handles_large_end_heights():
 
 
 def test_empty_path_conventions():
-    assert dp_count(PathQuery(0, 0)) == 1
+    """The empty path is in the k = 0 up family, as in the paper's f_0, and
+    so in Any; no flat or down path has length 0."""
+    for orientation, alternate, bound in product(Orientation, (False, True), (None, 0)):
+        for kind, want in zip(KINDS, (1, 1, 0, 0)):
+            q = PathQuery(0, 0, kind, orientation, bound, alternate)
+            assert dp_count(q) == enumerate_count(q) == want, q
     assert dp_count(PathQuery(0, None, orientation=Orientation.R2L)) == 1
-    for kind in (EndKind.UP, EndKind.FLAT, EndKind.DOWN):
-        assert dp_count(PathQuery(0, 0, kind)) == 0
+    assert dp_count(PathQuery(0, 1, EndKind.UP)) == 0
 
 
 @pytest.mark.parametrize("orientation", [Orientation.L2R, Orientation.R2L])
@@ -150,7 +154,7 @@ def test_profile_buckets_match_per_query_oracle():
 
 def _definitional_census(n, orientation, alternate):
     """Every rise sequence in [-n, 2n]^n that `_top` accepts, bucketed by
-    (end height, last step kind, max height); the empty path's kind is None.
+    (end height, last step kind, max height); the empty path's kind is up.
     Those rises cover every length-n path that ends at height n + 1 or
     lower, or never climbs above it: left to right a fall is one unit, so no
     rise exceeds 2n, and right to left no fall exceeds n."""
@@ -158,7 +162,7 @@ def _definitional_census(n, orientation, alternate):
     for rises in product(range(-n, 2 * n + 1), repeat=n):
         top = _top(rises, orientation, alternate)
         if top is not None:
-            census[sum(rises), _kind(rises[-1]) if n else None, top] += 1
+            census[sum(rises), _kind(rises[-1]) if n else EndKind.UP, top] += 1
     return census
 
 
@@ -192,11 +196,11 @@ def test_oracle_matches_definitional_model(orientation, alternate):
 def _walked_census(n, orientation, alternate, k=None, bound=None):
     """The oracle's census as one plain walk, without the tables of its last
     steps: every path is walked step by step to its end and counted there,
-    by (end height, last step kind, max height).  The pruning is the
-    oracle's: after a step from height h with ``rem`` steps still to take,
-    the new height lies in [max(h - 1, 0), min(bound, hi + rem)] left to
-    right and [max(lo - rem, 0), min(h + 1, bound)] right to left, with lo
-    k (else 0) and hi k, else the bound, else n."""
+    by (end height, last step kind, max height), the empty path as up.  The
+    pruning is the oracle's: after a step from height h with ``rem`` steps
+    still to take, the new height lies in [max(h - 1, 0), min(bound, hi +
+    rem)] left to right and [max(lo - rem, 0), min(h + 1, bound)] right to
+    left, with lo k (else 0) and hi k, else the bound, else n."""
     l2r = orientation is Orientation.L2R
     lo = k or 0
     hi = k if k is not None else bound if bound is not None else n
@@ -205,7 +209,7 @@ def _walked_census(n, orientation, alternate, k=None, bound=None):
 
     def walk(i, h, top, last):
         if i == n:
-            buckets[h, last, top] += 1
+            buckets[h, up if last is None else last, top] += 1
             return
         rem = n - i - 1
         if l2r:
@@ -279,8 +283,7 @@ def test_kind_additivity():
                 for kind in (EndKind.UP, EndKind.FLAT, EndKind.DOWN)
             )
             whole = dp_count(PathQuery(n, k, EndKind.ANY, orientation, None, alternate))
-            eps = 1 if (n == 0 and k == 0) else 0
-            assert whole == parts + eps
+            assert whole == parts
 
 
 def test_bound_saturation():

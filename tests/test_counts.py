@@ -33,10 +33,11 @@ def test_prefix_count_examples():
     assert enumerate_count(PathQuery(5, 2, EndKind.UP)) == 42
 
 
-def test_prefix_count_epsilon_convention():
-    assert prefix_count(0, 0) == 1
-    assert prefix_count(0, 0, EndKind.UP) == 0
-    assert prefix_count(0, 1) == 0
+def test_count_empty_path_convention():
+    # the empty path is in the k = 0 up family, as in the paper's f_0
+    for count in (prefix_count, suffix_count):
+        assert [count(0, 0, kind) for kind in KINDS] == [1, 1, 0, 0]
+        assert count(0, 1) == 0
     # the up closed form stays zero at k = 0 for every positive length
     assert all(prefix_count(n, 0, EndKind.UP) == 0 for n in range(1, 12))
 
@@ -123,12 +124,10 @@ def test_unbounded_series_match_dp_past_the_grid(family, k, kind, order, far):
     for k <= 12 and n <= 80, and so does one coefficient at n = `far`, up to
     300.  At k = 3000 and order 8 the power walk takes thousands of steps at
     a tiny order, where the dot products that give each power's top
-    coefficients carry every term.  The series charge the empty path to the
-    k = 0 up family, the DP to Any only."""
+    coefficients carry every term."""
     series_fn, orientation, alternate = SERIES_FAMILIES[family]
     coeffs = series_fn(k, kind, order).integer_coefficients()
     dp = [dp_count(PathQuery(n, k, kind, orientation, alternate=alternate)) for n in range(order)]
-    dp[0] += k == 0 and kind is EndKind.UP
     assert coeffs == dp
     want = dp_count(PathQuery(far, k, kind, orientation, alternate=alternate))
     assert series_fn(k, kind, far + 1)[far] == want
@@ -144,7 +143,7 @@ def test_flat_relation():
             f = series_fn(k, EndKind.UP, order)
             g = series_fn(k, EndKind.DOWN, order)
             h = series_fn(k, EndKind.FLAT, order)
-            # at k = 0 left to right the epsilon path feeds the flat state:
+            # at k = 0 left to right the empty path, in f_0, feeds the flat state:
             # z/(1-z) * f0 covers F, FF, ...
             assert h == ratio * (f + g), (series_fn.__name__, k)
 

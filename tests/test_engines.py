@@ -110,6 +110,30 @@ def test_the_query_is_the_only_finiteness_check(n, k, kind, orientation, bound, 
         pass
 
 
+def test_every_count_is_its_series_coefficient():
+    """Every engine that answers a query gives the gf engine's coefficient n,
+    n = 0 included: the empty path is in the k = 0 up family on all four, so
+    the kinds add up to Any at every length.  Every shape the gf engine
+    answers at n <= 6, with one bound above reach."""
+    shapes = 0
+    for orientation in Orientation:
+        for alternate in (False, True):
+            for k in (None, *range(7)):
+                for kind in (EndKind.ANY,) if k is None else EndKind:
+                    for bound in (None, *range(k or 0, 8)):
+                        try:
+                            series = series_for_query(k, kind, orientation, bound, alternate,
+                                                      order=7)
+                        except (EngineDomainError, InfiniteFamilyError):
+                            continue
+                        shapes += 1
+                        for n in range(7):
+                            query = PathQuery(n, k, kind, orientation, bound, alternate)
+                            got = engine_counts(query)
+                            assert set(got.values()) == {series[n]}, (query, got)
+    assert shapes >= 381  # a wider gf domain only adds shapes
+
+
 def _raise_sites(name: str) -> list[str]:
     """`module.qualified.function` of every `raise name(...)` in the package."""
     sites = []

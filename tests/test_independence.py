@@ -126,6 +126,4 @@ def test_gf_engine_evaluates_no_closed_form(no_closed_forms, label):
                                        order=GF_ORDER).integer_coefficients()
         want = [core.dp_count(PathQuery(n, k, kind, orientation, bound, alternate))
                 for n in range(GF_ORDER)]
-        if k == 0 and kind is EndKind.UP:
-            want[0] = 1  # the series families charge the empty path to this state
         assert got == want, (k, kind, orientation, bound, alternate)

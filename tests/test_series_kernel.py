@@ -174,13 +174,11 @@ def test_inexact_division_raises():
 
 @pytest.mark.parametrize("k", range(7))
 def test_unbounded_series_match_closed_forms_to_order_256(k):
-    # the series families charge the empty path to the k = 0 up state, the
-    # counters to Any only; from n = 1 on both conventions agree
     for kind in KINDS:
         pre = prefix_series(k, kind, 256).integer_coefficients()
         suf = suffix_series(k, kind, 256).integer_coefficients()
-        assert pre[1:] == [prefix_count(n, k, kind) for n in range(1, 256)], kind
-        assert suf[1:] == [suffix_count(n, k, kind) for n in range(1, 256)], kind
+        assert pre == [prefix_count(n, k, kind) for n in range(256)], kind
+        assert suf == [suffix_count(n, k, kind) for n in range(256)], kind
 
 
 @pytest.mark.parametrize("k", [0, 1, 4])

@@ -17,7 +17,9 @@ digests and failed counts, and per workload and metric: each side's median
 and quartiles, how many pairs the change won and lost (ties count for
 neither), and whether the change's median is better than the parent's by
 more than the parent's quartile spread.  After writing the file, the tool
-prints one line per workload and metric with those figures (`verdicts`).
+prints one line per workload and metric with those figures (`verdicts`),
+each side as its median and quartiles: `parent 5 [4.9-5.1] -> change 4
+[3.9-4.1]`.
 The file is written either way, but the tool exits 1 if any workload's
 answer digests differ, between the sides or between runs, or if any run
 failed jobs: such a file compares different outputs.  Standard library
@@ -69,17 +71,22 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def _side(q: dict) -> str:
+    """A side's median and its quartiles, as `5 [4.9-5.1]`."""
+    return f"{q['median']:.4g} [{q['q1']:.4g}-{q['q3']:.4g}]"
+
+
 def verdicts(report: dict) -> list[str]:
-    """One line per workload and metric: both medians, the relative change,
-    wins and losses, and whether the metric is within its bound and its gain
-    resolved."""
+    """One line per workload and metric: both medians with their quartiles,
+    the relative change, wins and losses, and whether the metric is within
+    its bound and its gain resolved."""
     lines = []
     for workload, result in report["workloads"].items():
         for name, r in result["metrics"].items():
             rel = r["relative_change"]
             lines.append(
-                f"{workload} {name}: parent {r['parent']['median']:.4g} -> change "
-                f"{r['change']['median']:.4g} ({'n/a' if rel is None else format(rel, '+.1%')}), "
+                f"{workload} {name}: parent {_side(r['parent'])} -> change "
+                f"{_side(r['change'])} ({'n/a' if rel is None else format(rel, '+.1%')}), "
                 f"wins {r['wins']}/{r['pairs']}, losses {r['losses']}, "
                 f"within_bound {r['within_bound']}, gain_resolved {r['gain_resolved']}")
     return lines
