@@ -46,7 +46,7 @@ def series_for_query(
     heights.  The fields are checked as `PathQuery` checks them."""
     PathQuery(order - 1, k, kind, orientation, bound, alternate)
     if alternate:
-        if orientation is not Orientation.L2R or bound is not None or k is None:
+        if orientation is not Orientation.L2R or bound is not None:
             raise EngineDomainError(
                 "alternate paths have series only for unbounded l2r queries "
                 "with a fixed end height; use the dp engine otherwise"

@@ -15,24 +15,46 @@ The paper's printed rows, which several test modules pin the engines to,
 are frozen here once: `PREFIX_ROWS`, `SUFFIX_ROWS`, `F2_ROWS`,
 `TOTAL_L2R_ROWS`, `TOTAL_R2L_ROWS` and `ALT_ROWS` (coefficients of z^0 ..
 z^9), `N_TABLE` (N_k^t for t <= 4, k <= 12, lowest degree first), and
-`KINDS`, the end kinds with Any first.
+`KINDS`, the end kinds with Any first; `ZERO`, `NEG1` and `Z` are the
+polynomials 0, -1 and z the system matrices are written in.
+
+The helpers that several test modules need are bound here once too:
+
+- `ROOT` and `SRC`, the repository and its `src` directory;
+- `load_tool` imports a script of `tools/` as a module;
+- `run_main` runs `cli.main` in this process and `run_python` runs
+  `python -c` in a fresh interpreter with PYTHONPATH=src;
+- `ref_add`, `ref_sub`, `ref_mul`, `ref_div`, `ref_pow` and `ref_sqrt` are
+  schoolbook kernels on coefficient lists, which keep the shorter operand's
+  length: ints stay ints, and a division or root gives Fractions.
 
 pytest does not collect this module (its name does not start with `test_`);
 the test modules import it by name, since pytest puts `tests/` on `sys.path`.
 """
 from __future__ import annotations
 
+import importlib.util
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from math import comb
+from pathlib import Path
+from types import ModuleType
 from typing import Sequence
 
+from lukaspaths import cli
 from lukaspaths.alternate import s1_series
 from lukaspaths.core import EndKind, Orientation
 from lukaspaths.series import DEFAULT_ORDER, IntPoly, Series
 
-_ZERO = IntPoly()
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+ZERO = IntPoly()
 _ONE = IntPoly([1])
-_NEG1 = IntPoly([-1])
-_Z = IntPoly([0, 1])
+NEG1 = IntPoly([-1])
+Z = IntPoly([0, 1])
 _ONE_PLUS_Z2 = IntPoly([1, 0, 1])
 
 KINDS = (EndKind.ANY, EndKind.UP, EndKind.FLAT, EndKind.DOWN)
@@ -110,10 +132,10 @@ def build_system_matrix(
     rows = []
     for h in range(t + 1):
         for rises in (range(1, hi + 1), range(lo, 0), (0,)):  # up, down, flat
-            row = [_ZERO] * size
+            row = [ZERO] * size
             for h0 in (h - r for r in rises if 0 <= h - r <= t):
-                row[3 * h0 : 3 * h0 + 3] = (_Z, _Z, _Z)
-            row[len(rows)] += _NEG1
+                row[3 * h0 : 3 * h0 + 3] = (Z, Z, Z)
+            row[len(rows)] += NEG1
             rows.append(tuple(row))
     return tuple(rows)
 
@@ -138,12 +160,12 @@ def _bareiss(m: list[list[IntPoly]]) -> IntPoly:
                     sign = -sign
                     break
             else:
-                return _ZERO
+                return ZERO
         pivot = m[col][col]
         for i in range(col + 1, n):
             for j in range(col + 1, n):
                 m[i][j] = (m[i][j] * pivot - m[i][col] * m[col][j]).exact_div(prev)
-            m[i][col] = _ZERO
+            m[i][col] = ZERO
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
@@ -161,3 +183,72 @@ def s2_series(order: int = DEFAULT_ORDER) -> Series:
         raise ValueError("order must be at least 3 to see the valuation")
     s1 = s1_series(order)
     return Series((0, 0, *(_ONE_PLUS_Z2.to_series(order) * s1).inverse().coeffs[:-2]))
+
+
+def load_tool(name: str) -> ModuleType:
+    """`tools/<name>.py`, which is no package, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_main(capsys, *argv: str) -> tuple:
+    """(exit code, stdout, stderr) of `cli.main(argv)` in this process; a
+    `SystemExit`, as argparse raises one, gives its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_python(code: str) -> str:
+    """The stdout of `python -c code` in a fresh interpreter with
+    PYTHONPATH=src, which must exit 0 and write nothing to stderr."""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    return proc.stdout
+
+
+def ref_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def ref_mul(a, b):
+    """The Cauchy product."""
+    m = min(len(a), len(b))
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(m)]
+
+
+def ref_div(a, b):
+    """The quotient, by solving b * out = a term by term."""
+    m = min(len(a), len(b))
+    out = []
+    for n in range(m):
+        acc = a[n] - sum(b[j] * out[n - j] for j in range(1, n + 1))
+        out.append(Fraction(acc) / b[0])
+    return out
+
+
+def ref_pow(a, k):
+    """The k-fold Cauchy product, by k products."""
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_sqrt(a):
+    """Coefficient recurrence 2 s_n = a_n - sum_{0<j<n} s_j s_(n-j), s_0 = 1."""
+    out = [Fraction(1)]
+    for n in range(1, len(a)):
+        acc = a[n] - sum(out[j] * out[n - j] for j in range(1, n))
+        out.append(Fraction(acc) / 2)
+    return out

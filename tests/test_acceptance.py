@@ -58,8 +58,7 @@ def test_criterion_02_prefix_tables_four_engines():
                 assert series[n] == want, ("gf", n, k)
                 assert dp_count(PathQuery(n, k)) == want, ("dp", n, k)
                 assert enumerate_count(PathQuery(n, k)) == want, ("oracle", n, k)
-                if n >= 1:
-                    assert prefix_count(n, k) == want, ("closed", n, k)
+                assert prefix_count(n, k) == want, ("closed", n, k)
 
 
 def test_criterion_03_suffix_tables_and_shift_bijection():
@@ -71,8 +70,7 @@ def test_criterion_03_suffix_tables_and_shift_bijection():
                 assert series[n] == want
                 assert dp_count(PathQuery(n, k, orientation=Orientation.R2L)) == want
                 assert enumerate_count(PathQuery(n, k, orientation=Orientation.R2L)) == want
-                if n >= 1:
-                    assert suffix_count(n, k) == want
+                assert suffix_count(n, k) == want
         # the k-shifts: the suffix row at height k is the prefix row at
         # height k-1 advanced by k-1 positions
         for k in range(1, 4):

@@ -1,11 +1,7 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +23,7 @@ from lukaspaths.core import (
 )
 from lukaspaths.counts import prefix_count, suffix_count
 
-from reference import catalan
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from reference import catalan, run_python
 
 #: (family, k) for the four finite families, end heights k <= 5
 FAMILY_GRID = [("return-to-zero", None), ("suffix-any", None)] + [
@@ -121,12 +115,8 @@ def test_each_route_counts_its_own_family(route, blocked):
         f"for family, k in {SMALL_K!r}:\n"
         f"    print(avg_height(40, family, k=k, route={route!r}).mean_height)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     want = [str(_dp_mean(40, *_family_model(family, k))) for family, k in SMALL_K]
-    assert proc.stdout.split() == want
+    assert run_python(code).split() == want
 
 
 def test_each_routes_family_size_is_the_closed_form():

@@ -1,17 +1,14 @@
 """The arithmetic of tools/bench_pairs.py: quartiles, wins and the rules
 for a resolved gain and a bounded regression; its refusal of pairs whose
 outputs differ; and the verdict lines it prints."""
-import importlib.util
 import itertools
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from reference import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 
 def test_quartiles_interpolate_between_sorted_values():

@@ -1,20 +1,16 @@
 """The bundled b-files are exactly what tools/gen_bfiles.py writes, and the
 b-file comparison rejects what it cannot index."""
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from lukaspaths.engines import compare_bfile
 
-ROOT = Path(__file__).resolve().parents[1]
-DATA = ROOT / "src" / "lukaspaths" / "data"
+from reference import SRC, load_tool
+
+DATA = SRC / "lukaspaths" / "data"
 
 
 def test_bundled_bfiles_match_the_generator(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("gen_bfiles", ROOT / "tools" / "gen_bfiles.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_tool("gen_bfiles")
     monkeypatch.setattr(gen, "OUT", tmp_path)
     gen.main()
     written = sorted(p.name for p in tmp_path.iterdir())

@@ -64,7 +64,7 @@ def test_suffix_count_examples():
 
 
 def test_suffix_kind_split_sums_to_any():
-    for n in range(1, 10):
+    for n in range(0, 10):
         for k in range(0, n + 1):
             total = suffix_count(n, k)
             split = sum(suffix_count(n, k, kd) for kd in KINDS[1:])
@@ -81,7 +81,7 @@ def test_triple_agreement(orientation):
     for k in range(0, 10) if l2r else (None, *range(0, 10)):  # None: the r2l total
         for kind in KINDS if k is not None else (EndKind.ANY,):
             coeffs = series_fn(k, kind, 10).integer_coefficients()
-            for n in range(1, 10):
+            for n in range(0, 10):
                 dp = dp_count(PathQuery(n, k, kind, orientation))
                 assert count_fn(n, k, kind) == dp, (n, k, kind)
                 assert coeffs[n] == dp, (n, k, kind)

@@ -1,20 +1,21 @@
 """The process entry point: `python -m lukaspaths` (and `lukas`) run
 `cli.run`, which flushes the standard streams and exits with `os._exit`.
 
-PYTHONUNBUFFERED is removed from every child's environment: unbuffered
-output would hide a missing flush, since nothing would be left to flush."""
+PYTHONUNBUFFERED is removed from the environment of every child `_spawn`
+starts: unbuffered output would hide a missing flush, since nothing would
+be left to flush."""
 import io
 import os
 import subprocess
 import sys
-from pathlib import Path
 from typing import Optional
 
 import pytest
 
 from lukaspaths import cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from reference import SRC, run_main, run_python
+
 BFILE = str(SRC / "lukaspaths" / "data" / "b000245.txt")
 BROKEN_PIPE = "error: internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
@@ -43,15 +44,6 @@ def _broken_pipe() -> int:
     return write_end
 
 
-def _in_process(capsys, argv: list[str]) -> tuple:
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 
 
@@ -60,7 +52,7 @@ def test_long_output_arrives_whole(capsys, unbuffered):
     argv = ["series", "--k", "2", "--order", "400"]
     proc = _spawn(argv, unbuffered=unbuffered)
     assert len(proc.stdout) > 8192  # more than one buffer's worth
-    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_main(capsys, *argv)
 
 
 #: (exit code, argv) of each documented outcome.
@@ -79,7 +71,7 @@ EXIT_CASES = pytest.mark.parametrize("code, argv", [
 def test_exit_codes_and_messages_match_main(capsys, code, argv):
     proc = _spawn(argv)
     assert proc.returncode == code
-    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capsys, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_main(capsys, *argv)
     if code not in (0, 2, 5):
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -106,9 +98,7 @@ def test_help_into_a_closed_stdout_exits_internal():
 
 
 def test_importing_the_entry_module_runs_nothing():
-    proc = subprocess.run([sys.executable, "-c", "import lukaspaths.__main__; print('after')"],
-                          env=_env(), capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "after\n", "")
+    assert run_python("import lukaspaths.__main__; print('after')") == "after\n"
 
 
 @BUFFERING
@@ -124,7 +114,7 @@ def test_stdout_closed_at_start_up_exits_internal(unbuffered):
 def test_closed_stderr_keeps_the_exit_code(capsys, unbuffered, code, argv):
     # the error line is lost, the exit code and the answer are not
     proc = _spawn(argv, closed=2, unbuffered=unbuffered)
-    want, out, _ = _in_process(capsys, argv)
+    want, out, _ = run_main(capsys, *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (want, out, "")
     assert proc.returncode == code
 

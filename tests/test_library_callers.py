@@ -20,8 +20,9 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-LIBRARY = ROOT / "src" / "lukaspaths"
+from reference import ROOT, SRC
+
+LIBRARY = SRC / "lukaspaths"
 
 #: Results of the paper that the library reports but never calls.
 PAPER_RESULTS = {"substitution_check", "alt_asymptotic"}

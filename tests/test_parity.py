@@ -1,15 +1,12 @@
 """tools/parity.py: its grid, its diff of two checkouts' results, and its
 child script on this checkout."""
 import argparse
-import importlib.util
-from pathlib import Path
 
 from lukaspaths.cli import build_parser
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
-parity = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(parity)
+from reference import ROOT, load_tool
+
+parity = load_tool("parity")
 
 
 def test_the_grid_covers_every_subcommand_engine_and_format(tmp_path):

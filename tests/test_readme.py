@@ -3,13 +3,14 @@
 as a prefix when the value ends in `...`."""
 import re
 import shlex
-from pathlib import Path
 
 import pytest
 
 from lukaspaths.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from reference import ROOT
+
+README = ROOT / "README.md"
 EXAMPLE = re.compile(r"^lukas (?P<argv>.+?)\s+# -> (?P<value>\S+)$")
 
 

@@ -98,6 +98,7 @@ def test_count_by_engine_refuses_an_unknown_engine():
     (lambda: Series([1]) ** -1, ValueError, "negative powers: invert first"),
     (lambda: Series([0, 1]).shift_down(2), ValueError, "order too small to shift down"),
     (lambda: catalan_gf(0), ValueError, "order must be positive"),
+    (lambda: alt_series(1, order=0), ValueError, "order must be positive"),
 ])
 def test_public_refusals(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -1,7 +1,6 @@
-"""The integer series kernel against a plain-Fraction reference, and the
-generating-function engine against the closed forms and the dynamic program
-well past the n <= 9 grid."""
-from fractions import Fraction
+"""The integer series kernel against the schoolbook kernels of
+`reference.py`, and the generating-function engine against the closed forms
+and the dynamic program well past the n <= 9 grid."""
 from itertools import islice
 
 import pytest
@@ -14,47 +13,7 @@ from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_
 from lukaspaths.engines import series_for_query
 from lukaspaths.series import IntPoly, RationalGF, Series, catalan_gf, quadratic_powers
 
-from reference import KINDS
-
-# -- plain-Fraction reference: lists of Fractions, schoolbook loops ----------
-
-
-def ref_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def ref_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def ref_mul(a, b):
-    m = min(len(a), len(b))
-    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0)) for n in range(m)]
-
-
-def ref_div(a, b):
-    m = min(len(a), len(b))
-    out = []
-    for n in range(m):
-        acc = a[n] - sum((b[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
-        out.append(acc / b[0])
-    return out
-
-
-def ref_pow(a, k):
-    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
-    for _ in range(k):
-        out = ref_mul(out, a)
-    return out
-
-
-def ref_sqrt(a):
-    """Coefficient recurrence 2 s_n = a_n - sum_{0<j<n} s_j s_(n-j), s_0 = 1."""
-    out = [Fraction(1)]
-    for n in range(1, len(a)):
-        acc = a[n] - sum((out[j] * out[n - j] for j in range(1, n)), Fraction(0))
-        out.append(acc / 2)
-    return out
+from reference import KINDS, ref_add, ref_div, ref_mul, ref_pow, ref_sqrt, ref_sub
 
 
 def is_integral(s: Series) -> bool:

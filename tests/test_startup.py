@@ -1,14 +1,9 @@
 """Each subcommand imports only the modules it runs: a `lukas` job is a fresh
 process, so every module it imports (and, without cached bytecode, compiles)
 is part of its wall time."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from reference import run_python
 
 #: `lukaspaths.__all__` as published; lazy loading must not change it.
 PUBLIC = [
@@ -21,14 +16,6 @@ PUBLIC = [
 ]
 
 
-def _run(code: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def _modules_after(argv: list[str]) -> set[str]:
     """The modules loaded once `cli.main(argv)` has run in a fresh process."""
     code = (
@@ -37,7 +24,7 @@ def _modules_after(argv: list[str]) -> set[str]:
         f"assert cli.main({argv!r}) == 0\n"
         "sys.stdout.write('\\n' + '\\n'.join(sorted(sys.modules)))\n"
     )
-    return set(_run(code).split("\n"))
+    return set(run_python(code).split("\n"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -80,9 +67,11 @@ def test_package_exports_are_unchanged_and_resolve():
     assert list(lukaspaths.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(lukaspaths, name) is not None, name
-    assert "lukaspaths.bounded" not in _run(
-        "import sys, lukaspaths; lukaspaths.PathQuery; print(*sys.modules)"
-    ).split()
+    # a fresh package has loaded none of them, yet lists them all
+    listed, loaded = run_python("import sys, lukaspaths; print(*dir(lukaspaths)); "
+                                "lukaspaths.PathQuery; print(*sys.modules)").splitlines()
+    assert set(PUBLIC) <= set(listed.split())
+    assert "lukaspaths.bounded" not in loaded.split()
 
 
 def test_unknown_package_attribute_raises():

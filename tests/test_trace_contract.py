@@ -5,16 +5,16 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from reference import ROOT, SRC
+
 MARKER = "perfbench-trace "
 
 
 def _trace(*argv):
     """Run the tracer on one `lukas` argv; return its stdout and the record
     of its single marker line."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
