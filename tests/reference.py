@@ -21,6 +21,8 @@ polynomials 0, -1 and z the system matrices are written in.
 The helpers that several test modules need are bound here once too:
 
 - `ROOT` and `SRC`, the repository and its `src` directory;
+- `shapes` asks `PathQuery` which query shapes of a grid exist, so no test
+  restates its refusals;
 - `load_tool` imports a script of `tools/` as a module;
 - `run_main` runs `cli.main` in this process and `run_python` runs
   `python -c` in a fresh interpreter with PYTHONPATH=src;
@@ -38,6 +40,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb
 from pathlib import Path
 from types import ModuleType
@@ -45,7 +48,7 @@ from typing import Sequence
 
 from lukaspaths import cli
 from lukaspaths.alternate import s1_series
-from lukaspaths.core import EndKind, Orientation
+from lukaspaths.core import EndKind, Orientation, PathQuery
 from lukaspaths.series import DEFAULT_ORDER, IntPoly, Series
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -183,6 +186,20 @@ def s2_series(order: int = DEFAULT_ORDER) -> Series:
         raise ValueError("order must be at least 3 to see the valuation")
     s1 = s1_series(order)
     return Series((0, 0, *(_ONE_PLUS_Z2.to_series(order) * s1).inverse().coeffs[:-2]))
+
+
+def shapes(ks, bounds, orientations=tuple(Orientation), alternates=(False, True)):
+    """Each (k, kind, orientation, bound, alternate) in ks x KINDS x bounds,
+    over the orientations and alternates given, that `PathQuery(0, ...)`
+    builds: it alone refuses a total of a kind other than Any, an end height
+    above the bound, and the left-to-right total with no bound."""
+    grid = product(orientations, alternates, ks, KINDS, bounds)
+    for orientation, alternate, k, kind, bound in grid:
+        try:
+            PathQuery(0, k, kind, orientation, bound, alternate)
+        except ValueError:
+            continue
+        yield k, kind, orientation, bound, alternate
 
 
 def load_tool(name: str) -> ModuleType:

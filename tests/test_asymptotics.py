@@ -12,7 +12,7 @@ from lukaspaths.asymptotics import (
     avg_height,
     substitution_check,
 )
-from lukaspaths.bounded import _gf_bound_sweep, bounded_gf, d_poly, n_poly, total_bounded_gf
+from lukaspaths.bounded import _gf_bound_sweep, bounded_gf, d_poly
 from lukaspaths.core import (
     EndKind,
     InfiniteFamilyError,
@@ -149,20 +149,12 @@ def test_prefix_at_k_above_the_length():
             avg_height(3, "suffix-at-k", k=4, route=route)
 
 
-def _family_gf(t, end, orientation):
-    """The family's generating function at bound t: the right-to-left total
-    when end is None, else the kind-Any family ending at height end."""
-    if end is None:
-        return total_bounded_gf(t, orientation)
-    return bounded_gf(t, end, EndKind.ANY, orientation)
-
-
 def test_gf_counts_match_each_bounds_expansion():
     # one order-31 expansion per bound serves every n <= 30 of that bound
     for family, k in FAMILY_GRID:
         end, orientation = _family_model(family, k)
         # one row per bound t = k .. k + 31, up to saturation for every n <= 30
-        reference = [_family_gf(t, end, orientation).coefficients_int(31)
+        reference = [bounded_gf(t, end, orientation=orientation).coefficients_int(31)
                      for t in range(k or 0, 30 + (k or 0) + 2)]
         for n in range(0, 31):
             stop = n + 2
@@ -174,7 +166,7 @@ def test_casoratian_valuation_rises_by_one_per_bound():
     # W_t = N_t D_(t-1) - N_(t-1) D_t, by direct products of each bound's GF
     for family, k in FAMILY_GRID:
         end, orientation = _family_model(family, k)
-        gfs = [_family_gf(t, end, orientation) for t in range(k or 0, (k or 0) + 21)]
+        gfs = [bounded_gf(t, end, orientation=orientation) for t in range(k or 0, (k or 0) + 21)]
         vals = []
         for prev, cur in zip(gfs, gfs[1:]):
             w = (cur.num * prev.den - prev.num * cur.den).coeffs

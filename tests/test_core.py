@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from itertools import islice, product
 
 import pytest
@@ -20,7 +21,7 @@ from lukaspaths.core import (
 )
 from lukaspaths.engines import closed_count
 
-from reference import KINDS, catalan
+from reference import KINDS, catalan, shapes
 
 def _kind(rise):
     """A step's direction class, by the sign of its rise."""
@@ -136,11 +137,9 @@ def test_empty_path_conventions():
 @pytest.mark.parametrize("alternate", [False, True])
 def test_oracle_dp_equivalence_small_grid(orientation, alternate):
     for n in range(0, 6):
-        for k in range(0, n + 1):
-            for kind in KINDS:
-                for bound in [None, *range(k, n + 1)]:
-                    q = PathQuery(n, k, kind, orientation, bound, alternate)
-                    assert enumerate_count(q) == dp_count(q), q
+        for shape in shapes(range(n + 1), [None, *range(n + 1)], [orientation], [alternate]):
+            q = PathQuery(n, *shape)
+            assert enumerate_count(q) == dp_count(q), q
 
 
 def test_profile_buckets_match_per_query_oracle():
@@ -183,16 +182,13 @@ def test_oracle_matches_definitional_model(orientation, alternate):
         census = _definitional_census(n, orientation, alternate)
         profile = {key: c for key, c in census.items() if key[0] <= n}
         assert enumerate_profile(n, orientation, alternate) == profile, n
-        for k in [None, *range(0, n + 2)]:
-            for kind in KINDS[:1] if k is None else KINDS:
-                for bound in [None, *range(k or 0, n + 2)]:
-                    try:
-                        q = PathQuery(n, k, kind, orientation, bound, alternate)
-                    except InfiniteFamilyError:
-                        continue
-                    assert enumerate_count(q) == _answers(census, q), q
+        heights = [None, *range(0, n + 2)]
+        for shape in shapes(heights, heights, [orientation], [alternate]):
+            q = PathQuery(n, *shape)
+            assert enumerate_count(q) == _answers(census, q), q
 
 
+@cache
 def _walked_census(n, orientation, alternate, k=None, bound=None):
     """The oracle's census as one plain walk, without the tables of its last
     steps: every path is walked step by step to its end and counted there,
@@ -200,7 +196,8 @@ def _walked_census(n, orientation, alternate, k=None, bound=None):
     pruning is the oracle's: after a step from height h with ``rem`` steps
     still to take, the new height lies in [max(h - 1, 0), min(bound, hi +
     rem)] left to right and [max(lo - rem, 0), min(h + 1, bound)] right to
-    left, with lo k (else 0) and hi k, else the bound, else n."""
+    left, with lo k (else 0) and hi k, else the bound, else n.  Cached, so
+    the four kinds of one (k, bound) share one walk."""
     l2r = orientation is Orientation.L2R
     lo = k or 0
     hi = k if k is not None else bound if bound is not None else n
@@ -237,15 +234,11 @@ def test_oracle_tables_match_the_plain_walk(orientation, alternate):
         assert enumerate_profile(n, orientation, alternate) == _walked_census(
             n, orientation, alternate), n
     for n in range(0, 7):
-        for k in [None, *range(0, n + 2)]:
-            for bound in [None, *range(k or 0, n + 2)]:
-                census = _walked_census(n, orientation, alternate, k, bound)
-                for kind in KINDS[:1] if k is None else KINDS:
-                    try:
-                        q = PathQuery(n, k, kind, orientation, bound, alternate)
-                    except InfiniteFamilyError:
-                        continue
-                    assert enumerate_count(q) == _answers(census, q), q
+        heights = [None, *range(0, n + 2)]
+        for shape in shapes(heights, heights, [orientation], [alternate]):
+            q = PathQuery(n, *shape)
+            census = _walked_census(n, orientation, alternate, q.k, q.bound)
+            assert enumerate_count(q) == _answers(census, q), q
 
 
 #: Lengths for the DP-only invariants: the whole small range, then a few

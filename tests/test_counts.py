@@ -7,7 +7,7 @@ from lukaspaths.core import EndKind, Orientation, PathQuery, dp_count, enumerate
 from lukaspaths.counts import prefix_count, prefix_series, suffix_count, suffix_series
 from lukaspaths.series import Series, catalan_gf
 
-from reference import KINDS, PREFIX_ROWS, SUFFIX_ROWS, catalan
+from reference import KINDS, PREFIX_ROWS, SUFFIX_ROWS, catalan, shapes
 
 
 @pytest.mark.parametrize("k,row", PREFIX_ROWS.items())
@@ -78,26 +78,21 @@ def test_triple_agreement(orientation):
     l2r = orientation is Orientation.L2R
     count_fn = prefix_count if l2r else suffix_count
     series_fn = prefix_series if l2r else suffix_series
-    for k in range(0, 10) if l2r else (None, *range(0, 10)):  # None: the r2l total
-        for kind in KINDS if k is not None else (EndKind.ANY,):
-            coeffs = series_fn(k, kind, 10).integer_coefficients()
-            for n in range(0, 10):
-                dp = dp_count(PathQuery(n, k, kind, orientation))
-                assert count_fn(n, k, kind) == dp, (n, k, kind)
-                assert coeffs[n] == dp, (n, k, kind)
+    for k, kind, *_ in shapes([None, *range(0, 10)], [None], [orientation], [False]):
+        coeffs = series_fn(k, kind, 10).integer_coefficients()  # k None: the r2l total
+        for n in range(0, 10):
+            dp = dp_count(PathQuery(n, k, kind, orientation))
+            assert count_fn(n, k, kind) == dp, (n, k, kind)
+            assert coeffs[n] == dp, (n, k, kind)
 
 
 @pytest.mark.parametrize("n", [100, 300])
 def test_every_family_row_matches_dp_at_large_n(n):
     """Every (power, shift) row the closed engine reads, k <= 12 and the
     right-to-left total, against the dynamic program far past the grid."""
-    for orientation in Orientation:
+    for k, kind, orientation, *_ in shapes([None, *range(13)], [None], alternates=[False]):
         count_fn = prefix_count if orientation is Orientation.L2R else suffix_count
-        shapes = [(k, kind) for k in range(13) for kind in KINDS]
-        if orientation is Orientation.R2L:
-            shapes.append((None, EndKind.ANY))
-        for k, kind in shapes:
-            assert count_fn(n, k, kind) == dp_count(PathQuery(n, k, kind, orientation)), (k, kind)
+        assert count_fn(n, k, kind) == dp_count(PathQuery(n, k, kind, orientation)), (k, kind)
 
 
 #: Each unbounded gf family with the DP query fields it counts.

@@ -20,20 +20,14 @@ from lukaspaths.core import (
 )
 from lukaspaths.engines import engine_counts, series_for_query
 
+from reference import shapes
+
 
 def _grid(n_max: int):
     """Every finite query with n <= n_max, including one bound above reach."""
     for n in range(n_max + 1):
-        for orientation in Orientation:
-            for alternate in (False, True):
-                for k in (None, *range(n + 1)):
-                    for kind in (EndKind.ANY,) if k is None else EndKind:
-                        for bound in (None, *range(k or 0, n + 2)):
-                            try:
-                                query = PathQuery(n, k, kind, orientation, bound, alternate)
-                            except InfiniteFamilyError:
-                                continue
-                            yield query
+        for shape in shapes((None, *range(n + 1)), (None, *range(n + 2))):
+            yield PathQuery(n, *shape)
 
 
 def _domains(query: PathQuery, oracle_cap: int) -> list[str]:
@@ -115,23 +109,18 @@ def test_every_count_is_its_series_coefficient():
     n = 0 included: the empty path is in the k = 0 up family on all four, so
     the kinds add up to Any at every length.  Every shape the gf engine
     answers at n <= 6, with one bound above reach."""
-    shapes = 0
-    for orientation in Orientation:
-        for alternate in (False, True):
-            for k in (None, *range(7)):
-                for kind in (EndKind.ANY,) if k is None else EndKind:
-                    for bound in (None, *range(k or 0, 8)):
-                        try:
-                            series = series_for_query(k, kind, orientation, bound, alternate,
-                                                      order=7)
-                        except (EngineDomainError, InfiniteFamilyError):
-                            continue
-                        shapes += 1
-                        for n in range(7):
-                            query = PathQuery(n, k, kind, orientation, bound, alternate)
-                            got = engine_counts(query)
-                            assert set(got.values()) == {series[n]}, (query, got)
-    assert shapes >= 381  # a wider gf domain only adds shapes
+    answered = 0
+    for shape in shapes((None, *range(7)), (None, *range(8))):
+        try:
+            series = series_for_query(*shape, order=7)
+        except EngineDomainError:
+            continue
+        answered += 1
+        for n in range(7):
+            query = PathQuery(n, *shape)
+            got = engine_counts(query)
+            assert set(got.values()) == {series[n]}, (query, got)
+    assert answered >= 381  # a wider gf domain only adds shapes
 
 
 def _raise_sites(name: str) -> list[str]:

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from lukaspaths import core, engines
-from lukaspaths.core import EndKind, Orientation, PathQuery
+from lukaspaths.core import Orientation, PathQuery
 
-from reference import KINDS
+from reference import KINDS, shapes
 
 #: The dynamic program's and the enumeration oracle's functions in `core`.
 DP_AND_ORACLE = ("dp_count", "_bound_sweep", "_walk_step", "enumerate_count",
@@ -86,20 +86,16 @@ CLOSED_FORMS = (("counts", "comb"), ("counts", "prefix_count"),
 GF_ORDER = 30
 
 
-def _families():
-    """(label, k, kind, orientation, bound, alternate) for every query shape
-    the gf engine answers: plain k <= 8, the right-to-left total, bounded
+def _families(label):
+    """The shapes (k, kind, orientation, bound, alternate) of one label, each
+    answered by the gf engine: plain k <= 8, the right-to-left total, bounded
     t <= 5 with an end height and as totals, and alternate k <= 5."""
-    for orientation in Orientation:
-        for k, kind in product(range(9), KINDS):
-            yield "plain", k, kind, orientation, None, False
-        for t in range(6):
-            yield "bounded", None, EndKind.ANY, orientation, t, False
-            for k, kind in product(range(t + 1), KINDS):
-                yield "bounded", k, kind, orientation, t, False
-    yield "total", None, EndKind.ANY, Orientation.R2L, None, False
-    for k, kind in product(range(6), KINDS):
-        yield "alternate", k, kind, Orientation.L2R, None, True
+    return list({
+        "plain": shapes(range(9), [None], alternates=[False]),
+        "total": shapes([None], [None], alternates=[False]),
+        "bounded": shapes([None, *range(6)], range(6), alternates=[False]),
+        "alternate": shapes(range(6), [None], [Orientation.L2R], [True]),
+    }[label])
 
 
 @pytest.fixture
@@ -119,9 +115,9 @@ def test_gf_engine_evaluates_no_closed_form(no_closed_forms, label):
     check."""
     with pytest.raises(AssertionError, match="closed form"):
         engines.closed_count(PathQuery(3, 1))  # the patch reaches the closed engine
-    shapes = [f[1:] for f in _families() if f[0] == label]
-    assert shapes
-    for k, kind, orientation, bound, alternate in shapes:
+    family = _families(label)
+    assert family
+    for k, kind, orientation, bound, alternate in family:
         got = engines.series_for_query(k, kind, orientation, bound, alternate,
                                        order=GF_ORDER).integer_coefficients()
         want = [core.dp_count(PathQuery(n, k, kind, orientation, bound, alternate))

@@ -69,6 +69,9 @@ def test_count_by_engine_refuses_an_unknown_engine():
         engines.count_by_engine("nope", PathQuery(3, 0))
 
 
+# Each case's id comes from its message, numbered by position where messages
+# repeat; a new row takes an explicit id naming its call, as in
+# `pytest.param(lambda: f(x), error, message, id="f(x)")`, and moves no id.
 @pytest.mark.parametrize("call,error,message", [
     (lambda: s1_series(0), ValueError, "order must be positive"),
     (lambda: alt_series(-1), ValueError, "end height must be nonnegative"),
